@@ -1,7 +1,7 @@
-# CTest script: prove that a parallel `tcdm_run emit` is byte-identical to
-# the serial one. Runs the same suite twice — once with the SER_ARGS flags
-# (default: serial sweep, event-driven stepping), once with the PAR_ARGS
-# parallelism flags — and compares the emitted JSON documents bit for bit,
+# CTest script: prove that a `tcdm_run emit` under different host flags is
+# byte-identical to the reference one. Runs the same suite twice — once with
+# the SER_ARGS flags (default: serial sweep, event-driven stepping), once
+# with the PAR_ARGS flags — and compares the emitted JSON documents bit for bit,
 # logging both md5 digests so the identity is auditable from the test log.
 #
 # Variables (passed with -D):
@@ -10,11 +10,9 @@
 #   OUT_DIR   scratch directory for the two emissions
 #   FILE      optional: a tcdm-scenarios suite file; the suite is then
 #             loaded with `--no-builtin --file` instead of from the builtins
-#   SER_ARGS  optional: flags for the reference emit (default: none) — use
-#             it to pin both legs to one stepping mode while only PAR_ARGS
-#             carries the parallelism under test
-#   PAR_ARGS  optional: parallelism flags for the second emit
-#             (default "--sim-threads 4")
+#   SER_ARGS  optional: flags for the reference emit (default: none)
+#   PAR_ARGS  optional: flags for the second emit (default "-j 4": the
+#             scenario-level sweep parallelism)
 
 foreach(var TCDM_RUN SUITE OUT_DIR)
   if(NOT DEFINED ${var})
@@ -22,7 +20,7 @@ foreach(var TCDM_RUN SUITE OUT_DIR)
   endif()
 endforeach()
 if(NOT DEFINED PAR_ARGS)
-  set(PAR_ARGS "--sim-threads 4")
+  set(PAR_ARGS "-j 4")
 endif()
 if(NOT DEFINED SER_ARGS)
   set(SER_ARGS "")

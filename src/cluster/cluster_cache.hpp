@@ -52,13 +52,13 @@ class ClusterCache {
   [[nodiscard]] std::size_t hits() const noexcept { return hits_; }
   [[nodiscard]] std::size_t misses() const noexcept { return misses_; }
 
-  /// Cache identity of a (config, sim-options) pair. The stepping mode and
-  /// thread count are part of the key: they never change simulated results,
-  /// but the worker pool and stepping engine are per-instance state.
+  /// Cache identity of a (config, sim-options) pair. The stepping mode is
+  /// part of the key: it never changes simulated results, but the stepping
+  /// engine is per-instance state.
   [[nodiscard]] static std::string cache_key(const ClusterConfig& cfg,
                                              const SimOptions& sim) {
-    return cfg.to_json().dump_compact() + "|t" + std::to_string(sim.sim_threads) +
-           "|s" + std::to_string(static_cast<unsigned>(sim.stepping));
+    return cfg.to_json().dump_compact() + "|s" +
+           std::to_string(static_cast<unsigned>(sim.stepping));
   }
 
  private:

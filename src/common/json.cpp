@@ -273,10 +273,30 @@ class Parser {
     return true;
   }
 
+  /// Recursion guard for parse_object/parse_array: nesting is the only
+  /// unbounded recursion, so capping it bounds the parser's stack.
+  void enter() {
+    if (++depth_ > Json::kMaxDepth) {
+      throw JsonDepthError("JSON parse error at offset " + std::to_string(pos_) +
+                           ": nesting deeper than " + std::to_string(Json::kMaxDepth) +
+                           " levels");
+    }
+  }
+
   Json parse_value() {
     switch (peek()) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{': {
+        enter();
+        Json v = parse_object();
+        --depth_;
+        return v;
+      }
+      case '[': {
+        enter();
+        Json v = parse_array();
+        --depth_;
+        return v;
+      }
       case '"': return Json(parse_string());
       case 't':
         if (consume_literal("true")) return Json(true);
@@ -397,6 +417,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  unsigned depth_ = 0;  // open arrays/objects around pos_
 };
 
 }  // namespace

@@ -20,6 +20,13 @@ class JsonError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
+/// A document nested deeper than Json::kMaxDepth. The parser refuses it
+/// before recursing further, so hostile input cannot exhaust the stack.
+class JsonDepthError : public JsonError {
+ public:
+  using JsonError::JsonError;
+};
+
 class Json {
  public:
   using Object = std::map<std::string, Json>;
@@ -77,7 +84,12 @@ class Json {
   /// exactly like parse(dump()).
   [[nodiscard]] std::string dump_compact() const;
 
-  /// Parse a complete JSON document; trailing garbage is an error.
+  /// Deepest array/object nesting parse() accepts; every document the repo
+  /// writes stays under ten levels.
+  static constexpr unsigned kMaxDepth = 256;
+
+  /// Parse a complete JSON document; trailing garbage is an error, and
+  /// nesting deeper than kMaxDepth throws JsonDepthError.
   static Json parse(std::string_view text);
 
  private:

@@ -310,7 +310,7 @@ ExploreOutcome run_explore(const scenario::LoadedSuite& suite,
       queued.push_back(i);
     }
 
-    // --- run: the wave's misses, scenario-parallel x tile-parallel.
+    // --- run: the wave's misses, scenario-parallel.
     if (!queued.empty()) {
       std::vector<scenario::ScenarioSpec> specs;
       specs.reserve(queued.size());
@@ -335,9 +335,7 @@ ExploreOutcome run_explore(const scenario::LoadedSuite& suite,
 
       scenario::SweepOptions sweep;
       sweep.jobs = opts.jobs;
-      sweep.sim_threads = opts.sim_threads;
       sweep.stepping = opts.stepping;
-      sweep.shard_threads = opts.shard_threads;
       if (opts.log != nullptr) {
         sweep.on_done = [&](const scenario::ScenarioResult& r) {
           *opts.log << "  [sim] " << r.name

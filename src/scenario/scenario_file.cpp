@@ -377,6 +377,10 @@ LoadedSuite load_suite_file(const std::string& path) {
   Json doc;
   try {
     doc = Json::parse(text);
+  } catch (const JsonDepthError& e) {
+    // Too deep to read at all: refused like an unreadable file (exit 2),
+    // not judged as invalid suite content.
+    throw ScenarioFileIoError(source + ": " + e.what());
   } catch (const JsonError& e) {
     throw ScenarioFileError(source + ": " + e.what());
   }

@@ -69,9 +69,9 @@ class ScenarioFileError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// Unreadable source (missing file, directory, read failure) — an IO
-/// problem, distinct from invalid content; the CLI maps it to exit 2
-/// where content errors exit 1.
+/// Unreadable source (missing file, directory, read failure, JSON nested
+/// past Json::kMaxDepth) — an IO problem, distinct from invalid content;
+/// the CLI maps it to exit 2 where content errors exit 1.
 class ScenarioFileIoError : public ScenarioFileError {
  public:
   using ScenarioFileError::ScenarioFileError;

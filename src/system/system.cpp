@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 #include <string>
-#include <thread>
 
 namespace tcdm {
 
@@ -33,51 +32,15 @@ System::System(const SystemConfig& sys, const ClusterConfig& cluster_cfg,
         std::to_string(cluster_cfg.bank_words) + " words = " +
         std::to_string(tcdm_words) + " words)");
   }
-  // SimOptions takes precedence over the scenario's system.shard_threads;
-  // 0 in both places means hardware concurrency resp. serial. Clamp to the
-  // cluster count — extra shard threads would only park.
-  unsigned shards = sim.shard_threads != 0 ? sim.shard_threads : cfg_.shard_threads;
-  if (shards == 0) shards = std::max(1u, std::thread::hardware_concurrency());
-  shard_threads_ = std::min(shards, cfg_.num_clusters);
-
-  // Each cluster's tile pool shares the one --sim-threads budget with the
-  // shard threads: S shards each driving T-thread pools would demand S*T
-  // cores, so split the budget instead (the sim_threads value never changes
-  // simulated results, only host throughput).
-  SimOptions per_cluster = sim;
-  if (shard_threads_ > 1) {
-    const unsigned budget = sim.sim_threads != 0
-                                ? sim.sim_threads
-                                : std::max(1u, std::thread::hardware_concurrency());
-    per_cluster.sim_threads = std::max(1u, budget / shard_threads_);
-  }
   clusters_.reserve(cfg_.num_clusters);
   for (unsigned c = 0; c < cfg_.num_clusters; ++c) {
-    clusters_.push_back(std::make_unique<Cluster>(cluster_cfg, per_cluster));
+    clusters_.push_back(std::make_unique<Cluster>(cluster_cfg, sim));
   }
   global_barrier_ = make_barrier(cfg_.barrier_kind, cfg_.num_clusters,
                                  cfg_.barrier_link_latency, cfg_.barrier_radix);
   dma_.resize(cfg_.num_clusters);
   kernel_arrived_.assign(cfg_.num_clusters, 0);
   cluster_event_.assign(cfg_.num_clusters, 0);
-  if (shard_threads_ > 1) shards_ = std::make_unique<ShardExecutor>(shard_threads_);
-}
-
-void System::check_rendezvous(Cycle expected) const {
-  if (shards_->in_span()) {
-    throw std::logic_error(
-        "S2 violation (serial-phase ordering, docs/CONCURRENCY.md): a serial "
-        "phase was entered while a shard span is still active");
-  }
-  for (unsigned c = 0; c < num_clusters(); ++c) {
-    if (clusters_[c]->now() != expected) {
-      throw std::logic_error(
-          "S1 violation (shard rendezvous soundness, docs/CONCURRENCY.md): "
-          "cluster " + std::to_string(c) + " is at cycle " +
-          std::to_string(clusters_[c]->now()) + " after the span, expected " +
-          std::to_string(expected));
-    }
-  }
 }
 
 void System::reset() {
@@ -126,7 +89,7 @@ void System::start_dma(Cycle now) {
 void System::dma_cycle(Cycle now) {
   if (!dma_started_ || done_) return;
   // One shared L2 budget per cycle; grant priority rotates with the cycle
-  // number (cycle-derived arbitration, the in-cluster D3 idiom) so no
+  // number (cycle-derived arbitration, the in-cluster D2 idiom) so no
   // cluster starves and the outcome is a pure function of (now, state).
   unsigned budget = cfg_.l2_bandwidth_words;
   const unsigned n = num_clusters();
@@ -179,19 +142,11 @@ bool System::dma_streaming() const {
 bool System::step() {
   const Cycle now = now_;
   // Phase 1 — every cluster advances one cycle (a halted cluster's step is
-  // a cheap no-op). Clusters share no mutable state during their own step,
-  // so this phase is the shardable one: with an executor attached the steps
-  // run on shard threads and rendezvous here (S1); serially, index order is
-  // only for determinism of the phases below.
-  if (shards_ != nullptr) {
-    shards_->run(num_clusters(), [this](unsigned c) { clusters_[c]->step(); });
-    check_rendezvous(now + 1);
-  } else {
-    for (auto& c : clusters_) c->step();
-  }
+  // a cheap no-op), in ascending cluster index.
+  for (auto& c : clusters_) c->step();
 
-  // Phase 2 — kernel-completion arrivals at the global barrier (serial,
-  // ascending cluster index — S2; likewise phases 3 and 4 below).
+  // Phase 2 — kernel-completion arrivals at the global barrier, in
+  // ascending cluster index.
   const unsigned n = num_clusters();
   for (unsigned c = 0; c < n; ++c) {
     if (!kernel_arrived_[c] && clusters_[c]->all_halted()) {
@@ -260,20 +215,10 @@ RunOutcome System::run(Cycle max_cycles) {
 
     // One global skip decision: the earliest event over every cluster
     // (each fills its own SkipPlan), the DMA engines and a pending global
-    // barrier release. The per-cluster queries walk only the owning
-    // cluster's components, so they run on the shards; the min-reduce is
-    // the serial rendezvous (S1).
+    // barrier release.
     Cycle event = dma_next_event();
-    if (shards_ != nullptr) {
-      shards_->run(num_clusters(), [this](unsigned c) {
-        cluster_event_[c] = clusters_[c]->next_event();
-      });
-    } else {
-      for (unsigned c = 0; c < num_clusters(); ++c) {
-        cluster_event_[c] = clusters_[c]->next_event();
-      }
-    }
     for (unsigned c = 0; c < num_clusters(); ++c) {
+      cluster_event_[c] = clusters_[c]->next_event();
       event = std::min(event, cluster_event_[c]);
     }
     if (global_barrier_->release_pending()) {
@@ -289,24 +234,17 @@ RunOutcome System::run(Cycle max_cycles) {
     if (jump <= now) continue;
 
     // Skip application touches only the owning cluster (bulk counter
-    // application resp. reference-stepping the quiet span), so it shards
-    // the same way as phase 1. kCrossCheck: clusters are independent over
-    // a quiet span (DMA is waiting on a header timestamp and the global
-    // barrier on a release cycle, both >= jump), so each cluster
-    // reference-steps its span alone; halted clusters have nothing to
-    // verify — empty plan, no-op steps — and just advance.
-    const auto apply_skip = [this, jump](unsigned c) {
+    // application resp. reference-stepping the quiet span). kCrossCheck:
+    // clusters are independent over a quiet span (DMA is waiting on a header
+    // timestamp and the global barrier on a release cycle, both >= jump), so
+    // each cluster reference-steps its span alone; halted clusters have
+    // nothing to verify — empty plan, no-op steps — and just advance.
+    for (unsigned c = 0; c < num_clusters(); ++c) {
       if (stepping_ == SteppingMode::kEventDriven || clusters_[c]->all_halted()) {
         clusters_[c]->skip_to(jump);
       } else {
         clusters_[c]->cross_check_to(cluster_event_[c], jump);
       }
-    };
-    if (shards_ != nullptr) {
-      shards_->run(num_clusters(), apply_skip);
-      check_rendezvous(jump);
-    } else {
-      for (unsigned c = 0; c < num_clusters(); ++c) apply_skip(c);
     }
     now_ = jump;
   }

@@ -18,19 +18,9 @@
 // -> DMA/NoC cycle -> global barrier -> watchdog, mirroring the in-cluster
 // D1 phase contract one level up: DMA only touches cluster state through
 // the external-memory port (the host backdoor read path) after the owning
-// cluster halted, and L2 grants rotate with the cycle number (D3), so
-// results are bit-identical for any --sim-threads value and for all three
-// stepping modes.
-//
-// With shard_threads > 1 the per-cluster work — cycle steps, skip-plan
-// queries and skip applications, which touch only the owning cluster's
-// state — runs on a ShardExecutor, rendezvousing before every serial
-// exchange phase and before each global skip decision. The contract is
-// docs/CONCURRENCY.md S1-S3: spans join before serial phases read cluster
-// state (S1), the DMA/L2/barrier phases stay serial in ascending cluster
-// index (S2), and a faulting cluster surfaces the lowest-index exception
-// exactly like the serial loop (S3). Any shard_threads x sim_threads
-// combination is bit-identical to serial in all three stepping modes.
+// cluster halted, and L2 grants rotate with the cycle number (D2), so
+// results are bit-identical for all three stepping modes. A faulting
+// cluster surfaces as the lowest-index cluster's exception.
 //
 // N == 1 degenerates to exactly Cluster::run — same cycles, same stats.
 #pragma once
@@ -39,7 +29,6 @@
 #include <vector>
 
 #include "src/cluster/cluster.hpp"
-#include "src/common/shard_executor.hpp"
 #include "src/system/system_config.hpp"
 
 namespace tcdm {
@@ -63,10 +52,6 @@ class System {
   [[nodiscard]] Barrier& global_barrier() noexcept { return *global_barrier_; }
   [[nodiscard]] Cycle now() const noexcept { return now_; }
   [[nodiscard]] SteppingMode stepping() const noexcept { return stepping_; }
-  /// Shard threads the run loop actually uses, after resolving the
-  /// SimOptions/SystemConfig precedence and clamping to the cluster count;
-  /// 1 means the serial lockstep loop.
-  [[nodiscard]] unsigned shard_threads() const noexcept { return shard_threads_; }
 
   /// Back to the just-constructed state without reallocating anything:
   /// every cluster reset (P2), global barrier at generation 0, DMA engines
@@ -77,8 +62,8 @@ class System {
   /// Run to completion (kernel + DMA phases synchronized out) or
   /// `max_cycles`; throws DeadlockError when a cluster or the system-level
   /// watchdog fires. Time advances per the SimOptions stepping mode with
-  /// one global skip decision across all clusters; all modes and thread
-  /// counts are bit-identical (apart from `sim.*` bookkeeping counters).
+  /// one global skip decision across all clusters; all modes are
+  /// bit-identical (apart from `sim.*` bookkeeping counters).
   RunOutcome run(Cycle max_cycles = 50'000'000);
 
   /// Propagates to every cluster and scales the system watchdog with it.
@@ -116,9 +101,6 @@ class System {
   };
 
   bool step();
-  /// S1/S2 tripwires at every shard-to-serial transition: the span must
-  /// have joined and every cluster must have advanced to `expected`.
-  void check_rendezvous(Cycle expected) const;
   void start_dma(Cycle now);
   void dma_cycle(Cycle now);
   [[nodiscard]] Cycle dma_next_event() const;
@@ -130,9 +112,7 @@ class System {
 
   SystemConfig cfg_;
   SteppingMode stepping_ = SteppingMode::kEventDriven;
-  unsigned shard_threads_ = 1;
   std::vector<std::unique_ptr<Cluster>> clusters_;
-  std::unique_ptr<ShardExecutor> shards_;  // only when shard_threads_ > 1
   std::unique_ptr<Barrier> global_barrier_;
   std::vector<DmaEngine> dma_;
   std::vector<char> kernel_arrived_;  // per cluster (vector<bool> is a bitfield)

@@ -3,9 +3,8 @@
 // produce identical cycle counts AND identical derived metrics, on every
 // configuration class we ship — this is the guard rail future
 // parallelization or event-reordering refactors have to pass. The
-// ThreadedStepping tests extend the contract across `SimOptions`: a
-// tile-parallel run at any sim_threads count must be bit-identical to the
-// serial run — same metrics, same statistics registry, same final memory.
+// FullState tests extend the contract past the metrics: two runs must leave
+// the same statistics registry and the same final memory.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -112,67 +111,43 @@ void expect_identical_memory(const Cluster& a, const Cluster& b) {
   }
 }
 
-/// Run the same seeded kernel serially and at sim_threads = 4 and demand
-/// bit-identical outcomes: metrics, every statistics counter, and the full
-/// final memory image.
+/// Run the same seeded kernel on two fresh clusters and demand bit-identical
+/// outcomes: metrics, every statistics counter, and the full final memory
+/// image.
 template <typename KernelT, typename... Args>
-void expect_thread_count_invariant(const ClusterConfig& cfg, bool verify,
-                                   Args&&... kernel_args) {
-  KernelT k_serial(kernel_args...), k_par(kernel_args...);
+void expect_full_state_repeats(const ClusterConfig& cfg, bool verify,
+                               Args&&... kernel_args) {
+  KernelT k1(kernel_args...), k2(kernel_args...);
   RunnerOptions opts;
   opts.verify = verify;
   opts.max_cycles = 5'000'000;
 
-  Cluster serial(cfg, SimOptions{.sim_threads = 1});
-  const KernelMetrics a = run_kernel_on(serial, k_serial, opts);
-
-  Cluster parallel(cfg, SimOptions{.sim_threads = 4});
-  ASSERT_GT(parallel.sim_threads(), 1u);
-  const KernelMetrics b = run_kernel_on(parallel, k_par, opts);
+  Cluster first(cfg);
+  const KernelMetrics a = run_kernel_on(first, k1, opts);
+  Cluster second(cfg);
+  const KernelMetrics b = run_kernel_on(second, k2, opts);
 
   EXPECT_FALSE(a.timed_out);
   expect_identical(a, b);
-  // The statistics registries must agree on every counter — names and
-  // bit-exact values (shared network counters commit in tile order at any
-  // thread count).
-  EXPECT_EQ(serial.stats().snapshot(), parallel.stats().snapshot());
-  expect_identical_memory(serial, parallel);
+  EXPECT_EQ(first.stats().snapshot(), second.stats().snapshot());
+  expect_identical_memory(first, second);
 }
 
-using ThreadedSteppingOnConfig = test::BurstSweepTest;
+using FullStateOnConfig = test::BurstSweepTest;
 
-TEST_P(ThreadedSteppingOnConfig, DotpMatchesSerialBitForBit) {
-  expect_thread_count_invariant<DotpKernel>(config(), /*verify=*/true, 1024u,
-                                            /*seed=*/9);
+TEST_P(FullStateOnConfig, DotpRepeatsBitForBit) {
+  expect_full_state_repeats<DotpKernel>(config(), /*verify=*/true, 1024u, /*seed=*/9);
 }
 
-TEST_P(ThreadedSteppingOnConfig, RandomProbeMatchesSerialBitForBit) {
+TEST_P(FullStateOnConfig, RandomProbeRepeatsBitForBit) {
   // The probe stresses the contended remote paths (wait-list registration,
-  // burst beats, store acks) where commit ordering could diverge.
-  expect_thread_count_invariant<RandomProbeKernel>(
+  // burst beats, store acks).
+  expect_full_state_repeats<RandomProbeKernel>(
       config(), /*verify=*/false, 96u, RandomProbeKernel::Pattern::kUniform,
       /*seed=*/5);
 }
 
-TCDM_INSTANTIATE_BURST_SWEEP(ThreadedSteppingOnConfig);
-
-TEST(ThreadedStepping, ThreadCountsTwoThroughEightAgree) {
-  // Beyond 1-vs-4: every thread count (including one above the tile count,
-  // which clamps) must yield the same run.
-  const ClusterConfig cfg = mp4_config(4);
-  KernelMetrics base;
-  for (unsigned threads : {1u, 2u, 3u, 8u}) {
-    DotpKernel k(512, /*seed=*/3);
-    const KernelMetrics m =
-        test::run_capped(cfg, k, 5'000'000, threads);
-    ASSERT_KERNEL_OK(m);
-    if (threads == 1) {
-      base = m;
-    } else {
-      expect_identical(base, m);
-    }
-  }
-}
+TCDM_INSTANTIATE_BURST_SWEEP(FullStateOnConfig);
 
 TEST(Determinism, TinyClusterScalarProgramRepeatsExactly) {
   GemvKernel k1(8, 16, 4), k2(8, 16, 4);

@@ -67,21 +67,6 @@ TEST(ConfigHash, PresetSugarAndExplicitSpellingHashIdentically) {
   EXPECT_EQ(canonical_point_json(a).dump(), canonical_point_json(b).dump());
 }
 
-TEST(ConfigHash, SimThreadsDoesNotAffectTheKey) {
-  FileScenario a;
-  a.config = ClusterConfig::by_name("mp4spatz4");
-  a.kernel = scenario::KernelSpec::from_json([] {
-    Json k;
-    k.set("kind", "axpy");
-    k.set("n", 512);
-    return k;
-  }());
-  FileScenario b = a;
-  a.opts.sim.sim_threads = 1;
-  b.opts.sim.sim_threads = 16;  // bit-identical results, so same key
-  EXPECT_EQ(canonical_key(a), canonical_key(b));
-}
-
 TEST(ConfigHash, EverySimulationRelevantFieldChangesTheKey) {
   FileScenario base;
   base.config = ClusterConfig::by_name("mp4spatz4");
@@ -144,9 +129,10 @@ TEST(ConfigHash, EverySimulationRelevantFieldChangesTheKey) {
 
 TEST(ConfigHash, KeyIsStableAcrossProcessRestarts) {
   // The key must be a pure function of the design point — no pointers, no
-  // iteration-order dependence. Lock one known digest so an accidental
-  // serialization change (which would orphan every existing cache) fails
-  // loudly here instead of silently invalidating stores in the field.
+  // iteration-order dependence. Lock known digests, recorded from an
+  // earlier build, so an accidental serialization change (which would
+  // orphan every existing cache) fails loudly here instead of silently
+  // invalidating stores in the field.
   FileScenario p;
   p.config = ClusterConfig::by_name("mp4spatz4");
   p.kernel = scenario::KernelSpec::from_json([] {
@@ -155,8 +141,14 @@ TEST(ConfigHash, KeyIsStableAcrossProcessRestarts) {
     k.set("n", 256);
     return k;
   }());
-  EXPECT_EQ(canonical_key(p), canonical_key(p));
-  EXPECT_EQ(digest128("tcdm"), digest128("tcdm"));
+  EXPECT_EQ(canonical_key(p), "1b18f15a8f00259880fff3bc26a2cc48");
+  SystemConfig sys;
+  sys.name = "sys";
+  sys.num_clusters = 4;
+  sys.dma_words = 512;
+  p.system = sys;
+  EXPECT_EQ(canonical_key(p), "a96e411316e90470005e75e3278c93e7");
+  EXPECT_EQ(digest128("tcdm"), "94475cbafd48273673bcc5a5250a8ecb");
   EXPECT_NE(digest128("tcdm"), digest128("tcdM"));
 }
 
@@ -525,7 +517,6 @@ TEST(Explore, ReportIsIndependentOfJobsAndWaveScheduling) {
   serial.jobs = 1;
   ExploreOptions parallel;
   parallel.jobs = 8;
-  parallel.sim_threads = 2;
   EXPECT_EQ(report_json(suite, serial, run_explore(suite, serial)).dump(),
             report_json(suite, parallel, run_explore(suite, parallel)).dump());
 }

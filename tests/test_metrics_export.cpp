@@ -62,6 +62,26 @@ TEST(Json, ParseErrorsThrow) {
   EXPECT_THROW((void)Json::parse("{1: 2}"), JsonError);
 }
 
+TEST(Json, NestingBeyondTheDepthCapThrowsInsteadOfCrashing) {
+  const auto nested = [](unsigned depth) {
+    return std::string(depth, '[') + std::string(depth, ']');
+  };
+  EXPECT_TRUE(Json::parse(nested(Json::kMaxDepth)).is_array());
+  EXPECT_THROW((void)Json::parse(nested(Json::kMaxDepth + 1)), JsonDepthError);
+  // Unbounded recursion used to overflow the stack on this input.
+  try {
+    (void)Json::parse(std::string(50'000, '['));
+    FAIL() << "expected JsonDepthError";
+  } catch (const JsonDepthError& e) {
+    EXPECT_NE(std::string(e.what()).find("nesting deeper than 256 levels"),
+              std::string::npos)
+        << e.what();
+  }
+  std::string objects;
+  for (unsigned i = 0; i <= Json::kMaxDepth; ++i) objects += "{\"a\": ";
+  EXPECT_THROW((void)Json::parse(objects), JsonDepthError);
+}
+
 TEST(Json, AccessorKindMismatchThrows) {
   const Json num(3.0);
   EXPECT_THROW((void)num.as_string(), JsonError);

@@ -208,7 +208,6 @@ TEST(RunnerOptionsJson, RoundTripPreservesEveryField) {
   o.verify = false;
   o.max_cycles = 123456789;
   o.watchdog_window = 4242;
-  o.sim.sim_threads = 3;
   const RunnerOptions back = runner_options_from_json(runner_options_to_json(o));
   EXPECT_EQ(runner_options_to_json(o).dump(), runner_options_to_json(back).dump());
 }
@@ -368,6 +367,52 @@ TEST(ScenarioFile, MalformedDocumentsNameTheOffendingPath) {
       const std::string msg = e.what();
       EXPECT_NE(msg.find("doc.json"), std::string::npos) << msg;
       EXPECT_NE(msg.find(c.expected), std::string::npos) << msg;
+    }
+  }
+}
+
+TEST(ScenarioFile, OverDeepNestingIsRefusedAsUnreadableNamingThePath) {
+  const std::string path = ::testing::TempDir() + "deep-nesting.json";
+  {
+    std::ofstream out(path, std::ios::binary);
+    out << std::string(50'000, '[');
+  }
+  try {
+    (void)load_suite_file(path);
+    FAIL() << "expected ScenarioFileIoError";
+  } catch (const ScenarioFileIoError& e) {
+    const std::string msg = e.what();
+    EXPECT_EQ(msg.rfind(path + ": ", 0), 0u) << msg;
+    EXPECT_NE(msg.find("nesting deeper than"), std::string::npos) << msg;
+  }
+}
+
+TEST(ScenarioFile, RemovedThreadKeysAreRejectedWithTheirPath) {
+  // The thread-count keys of the removed tile-parallel and cluster-sharding
+  // layers now take the ordinary unknown-key path: a suite that still sets
+  // one fails to load, naming the key's full path.
+  const struct {
+    const char* block;
+    const char* expected;
+  } cases[] = {
+      {R"("options": {"sim_threads": 4})", "scenarios[0]/options/sim_threads"},
+      {R"("options": {"shard_threads": 4})", "scenarios[0]/options/shard_threads"},
+      {R"("system": {"name": "s", "num_clusters": 2, "shard_threads": 4})",
+       "scenarios[0]/system/shard_threads"},
+  };
+  for (const auto& c : cases) {
+    const std::string text =
+        std::string(R"({"schema": "tcdm-scenarios", "schema_version": 1, "suite": "x",
+           "scenarios": [{"name": "a", "config": {"preset": "mp4spatz4"},
+                          "kernel": {"kind": "dotp", "n": 64}, )") +
+        c.block + "}]}";
+    try {
+      (void)parse_suite(parse_text(text), "doc.json");
+      FAIL() << "expected ScenarioFileError for: " << c.block;
+    } catch (const ScenarioFileError& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find(c.expected), std::string::npos) << msg;
+      EXPECT_NE(msg.find("unknown key"), std::string::npos) << msg;
     }
   }
 }

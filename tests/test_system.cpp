@@ -1,9 +1,10 @@
 // System layer (src/system/): multi-cluster lockstep over the modeled
 // L2/NoC. Covers the N == 1 degenerate identity with a bare Cluster run,
-// bit-identical determinism across sim-thread counts and all three stepping
-// modes at N == 4, the P2 fresh-vs-reset identity, DMA payload accounting
-// and checksums, monotone aggregate-bandwidth weak scaling 1 -> 8, and
-// cross-kind correctness of the global barrier.
+// bit-identical determinism across all three stepping modes at N == 4 and
+// N == 8, the P2 fresh-vs-reset identity, DMA payload accounting and
+// checksums, monotone aggregate-bandwidth weak scaling 1 -> 8, cross-kind
+// correctness of the global barrier, and which cluster's DeadlockError a
+// faulting system surfaces.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -11,6 +12,7 @@
 #include <vector>
 
 #include "src/cluster/kernel_runner.hpp"
+#include "src/common/sim_time.hpp"
 #include "src/kernels/axpy.hpp"
 #include "src/kernels/dotp.hpp"
 #include "src/system/system.hpp"
@@ -96,27 +98,26 @@ TEST(SystemDegenerate, SingleClusterMatchesBareClusterExactly) {
 
 // ---------------------------------------------------------- determinism ----
 
-TEST(SystemDeterminism, BitIdenticalAcrossThreadsAndSteppingModes) {
+TEST(SystemDeterminism, BitIdenticalAcrossSteppingModes) {
   const ClusterConfig cfg = mp4_config(4);
-  const SystemConfig sys_cfg = small_system(4);
+  for (const unsigned n : {4u, 8u}) {
+    const SystemConfig sys_cfg = small_system(n);
 
-  // Reference: serial, cycle-by-cycle.
-  System ref(sys_cfg, cfg, SimOptions{1, SteppingMode::kCycleByCycle});
-  const SystemImage ref_img = run_image(ref);
-  ASSERT_FALSE(ref_img.metrics.timed_out);
-  ASSERT_TRUE(ref_img.metrics.verified);
+    // Reference: cycle-by-cycle.
+    System ref(sys_cfg, cfg, SimOptions{SteppingMode::kCycleByCycle});
+    const SystemImage ref_img = run_image(ref);
+    ASSERT_FALSE(ref_img.metrics.timed_out);
+    ASSERT_TRUE(ref_img.metrics.verified);
 
-  for (const unsigned threads : {1u, 4u}) {
     for (const SteppingMode mode :
-         {SteppingMode::kEventDriven, SteppingMode::kCycleByCycle,
-          SteppingMode::kCrossCheck}) {
-      System sys(sys_cfg, cfg, SimOptions{threads, mode});
+         {SteppingMode::kEventDriven, SteppingMode::kCrossCheck}) {
+      System sys(sys_cfg, cfg, SimOptions{mode});
       const SystemImage img = run_image(sys);
       // Full per-cluster stats differ only in the `sim.*` bookkeeping
       // counters across modes (EV1-EV3), so the cross-mode identity is
       // asserted on the simulated state: metrics, payloads, verification.
       EXPECT_EQ(img.metrics.cycles, ref_img.metrics.cycles)
-          << threads << " threads, mode " << static_cast<int>(mode);
+          << n << " clusters, mode " << static_cast<int>(mode);
       EXPECT_EQ(img.metrics.flops, ref_img.metrics.flops);
       EXPECT_EQ(img.metrics.noc_bytes, ref_img.metrics.noc_bytes);
       EXPECT_EQ(img.metrics.verified, ref_img.metrics.verified);
@@ -217,6 +218,48 @@ TEST(SystemBarrierKinds, AllKindsCompleteAndVerify) {
     if (kind == BarrierKind::kCentral) central_cycles = img.metrics.cycles;
   }
   EXPECT_GT(central_cycles, 0u);
+}
+
+// ---------------------------------------------------------------- faults ----
+
+TEST(SystemFaults, DeadlockSurfacesTheLowestIndexCluster) {
+  // Clusters 1 and 3 deadlock at a mismatched barrier (hart 0 halts, the
+  // rest wait forever); clusters 0 and 2 halt immediately. Both watchdogs
+  // expire in the same cycle, and clusters step in ascending index, so the
+  // run must surface cluster 1's DeadlockError: cluster 0 has already
+  // stepped that cycle, clusters 1-3 have not.
+  const ClusterConfig cfg = mp4_config(4);
+  System system(small_system(4), cfg, SimOptions{});
+  system.set_watchdog_window(2000);
+  for (unsigned c = 0; c < system.num_clusters(); ++c) {
+    std::vector<Program> programs;
+    for (unsigned h = 0; h < cfg.num_cores(); ++h) {
+      if ((c % 2 == 1) && h > 0) {
+        ProgramBuilder w("wait");
+        w.barrier();
+        w.halt();
+        programs.push_back(w.build());
+      } else {
+        ProgramBuilder done("done");
+        done.halt();
+        programs.push_back(done.build());
+      }
+    }
+    system.cluster(c).load_programs(std::move(programs));
+  }
+  try {
+    (void)system.run(1'000'000);
+    FAIL() << "deadlock run returned normally";
+  } catch (const DeadlockError& e) {
+    EXPECT_NE(std::string(e.what()).find("no simulation progress for 2000 cycles"),
+              std::string::npos)
+        << e.what();
+  }
+  const Cycle fired = system.cluster(1).now();
+  EXPECT_GT(fired, 2000u);
+  EXPECT_EQ(system.cluster(0).now(), fired + 1);
+  EXPECT_EQ(system.cluster(2).now(), fired);
+  EXPECT_EQ(system.cluster(3).now(), fired);
 }
 
 }  // namespace

@@ -4,12 +4,12 @@
 // requires a new binary.
 //
 //   tcdm_run list [--file F]... [glob...]      list suites and scenarios
-//   tcdm_run run [-j N] [--sim-threads N] [--stepping M] [--file F]...
+//   tcdm_run run [-j N] [--stepping M] [--file F]...
 //                [--no-builtin] [glob...]      run a selection; print tables
-//   tcdm_run emit [-j N] [--sim-threads N] [--stepping M] [--file F]...
+//   tcdm_run emit [-j N] [--stepping M] [--file F]...
 //                 [--no-builtin] --out <dir> (--all | suite|glob...)
 //                                              sweep suites, write <dir>/<suite>.json
-//   tcdm_run bench [--reps N] [-j N] [--sim-threads N] [--stepping M]
+//   tcdm_run bench [--reps N] [-j N] [--stepping M]
 //                  [--file F]... [--no-builtin] [--out F] [--metrics-out D]
 //                  (--all | suite|glob...)
 //                                              time whole-suite sweeps for N
@@ -20,7 +20,7 @@
 //                                              files (default: stdin)
 //   tcdm_run gen --seed N --count K [--out F]  emit a randomized, invariant-
 //                                              checked suite file (stdout)
-//   tcdm_run explore [-j N] [--sim-threads N] [--stepping M] [--objective NAME]
+//   tcdm_run explore [-j N] [--stepping M] [--objective NAME]
 //                    [--area-cap MGE] [--budget N] [--cache F] [--state F]
 //                    [--resume] [--no-prune] [--report F] [--stats-out F]
 //                    [--fail-after N] <suite.json>
@@ -33,9 +33,8 @@
 // lets a file re-express a builtin suite under its own name. With `--file`
 // and no globs/suites, the file's suites are selected. Globs match full
 // scenario names (`*` crosses `/`). Parallel runs (-j) produce
-// byte-identical emissions and stdout tables to serial ones; --sim-threads
-// additionally parallelizes each cluster's cycle loop (bit-identical at
-// any count; 0 = hardware concurrency). `--stepping event|cycle|check`
+// byte-identical emissions and stdout tables to serial ones; each scenario
+// itself simulates on one thread. `--stepping event|cycle|check`
 // selects how each cluster advances time (event-driven skipping, the
 // cycle-by-cycle reference loop, or the self-verifying cross-check mode —
 // all bit-identical; see docs/ARCHITECTURE.md).
@@ -70,28 +69,20 @@ int usage(const char* argv0) {
   std::fprintf(
       stderr,
       "usage: %s list [--file F]... [glob...]\n"
-      "       %s run [-j N] [--sim-threads N] [--shard-threads N] [--stepping M]\n"
-      "            [--file F]... [--no-builtin] [glob...]\n"
-      "       %s emit [-j N] [--sim-threads N] [--shard-threads N] [--stepping M]\n"
-      "            [--file F]... [--no-builtin] --out <dir> (--all | suite|glob...)\n"
-      "       %s bench [--reps N] [-j N] [--sim-threads N] [--shard-threads N]\n"
-      "            [--stepping M] [--file F]... [--no-builtin] [--out F]\n"
-      "            [--metrics-out D] (--all | suite|glob...)\n"
+      "       %s run [-j N] [--stepping M] [--file F]... [--no-builtin] [glob...]\n"
+      "       %s emit [-j N] [--stepping M] [--file F]... [--no-builtin]\n"
+      "            --out <dir> (--all | suite|glob...)\n"
+      "       %s bench [--reps N] [-j N] [--stepping M] [--file F]... [--no-builtin]\n"
+      "            [--out F] [--metrics-out D] (--all | suite|glob...)\n"
       "       %s validate [file...|-]\n"
       "       %s gen [--seed N] [--count K] [--out <file>]\n"
-      "       %s explore [-j N] [--sim-threads N] [--shard-threads N] [--stepping M]\n"
-      "            [--objective NAME] [--area-cap MGE] [--budget N] [--cache F]\n"
-      "            [--state F] [--resume] [--no-prune] [--report F] [--stats-out F]\n"
-      "            [--fail-after N] <suite.json>\n"
+      "       %s explore [-j N] [--stepping M] [--objective NAME] [--area-cap MGE]\n"
+      "            [--budget N] [--cache F] [--state F] [--resume] [--no-prune]\n"
+      "            [--report F] [--stats-out F] [--fail-after N] <suite.json>\n"
       "\n"
       "  --stepping M   time advance per cluster: event (skip quiet spans,\n"
       "                 default), cycle (reference loop), check (skip decisions\n"
       "                 verified cycle-by-cycle). All modes are bit-identical.\n"
-      "  --shard-threads N   system scenarios only: step the N clusters of a\n"
-      "                 \"system\" block on N shard threads between global sync\n"
-      "                 points (0 = hardware concurrency; the --sim-threads\n"
-      "                 tile budget is split across the shards). Bit-identical\n"
-      "                 to serial at any value.\n"
       "\n"
       "  Scenarios may scale out with a \"system\" block (N clusters over a\n"
       "  modeled L2/NoC with inter-cluster DMA bursts); its barrier_kind is\n"
@@ -103,12 +94,10 @@ int usage(const char* argv0) {
   return 2;
 }
 
-/// Flags shared by list/run/emit: sweep and stepping parallelism, plus the
-/// data-driven registry sources.
+/// Flags shared by list/run/emit: sweep parallelism and stepping mode, plus
+/// the data-driven registry sources.
 struct CommonOptions {
   unsigned jobs = 1;
-  unsigned sim_threads = 0;
-  unsigned shard_threads = 0;  // 0 = per-spec (system scenarios only)
   std::optional<SteppingMode> stepping;  // unset = per-spec (event-driven)
   std::vector<std::string> files;
   bool no_builtin = false;
@@ -134,28 +123,11 @@ bool parse_common(std::vector<std::string>& args, CommonOptions& opts) {
   std::vector<std::string> rest;
   for (std::size_t i = 0; i < args.size(); ++i) {
     std::string value;
-    unsigned* out = nullptr;
     if (args[i] == "-j" || args[i] == "--jobs") {
       if (i + 1 >= args.size()) return false;
       value = args[++i];
-      out = &opts.jobs;
     } else if (args[i].rfind("-j", 0) == 0 && args[i].size() > 2) {
       value = args[i].substr(2);
-      out = &opts.jobs;
-    } else if (args[i] == "--sim-threads") {
-      if (i + 1 >= args.size()) return false;
-      value = args[++i];
-      out = &opts.sim_threads;
-    } else if (args[i].rfind("--sim-threads=", 0) == 0) {
-      value = args[i].substr(14);
-      out = &opts.sim_threads;
-    } else if (args[i] == "--shard-threads") {
-      if (i + 1 >= args.size()) return false;
-      value = args[++i];
-      out = &opts.shard_threads;
-    } else if (args[i].rfind("--shard-threads=", 0) == 0) {
-      value = args[i].substr(16);
-      out = &opts.shard_threads;
     } else if (args[i] == "--stepping") {
       if (i + 1 >= args.size() || !parse_stepping(args[i + 1], opts.stepping)) return false;
       ++i;
@@ -178,22 +150,25 @@ bool parse_common(std::vector<std::string>& args, CommonOptions& opts) {
       continue;
     }
     try {
-      *out = static_cast<unsigned>(std::stoul(value));
+      opts.jobs = static_cast<unsigned>(std::stoul(value));
     } catch (const std::exception&) {
       return false;
-    }
-    // SweepOptions uses 0 for "keep each spec's setting", so an explicit
-    // `--sim-threads 0` / `--shard-threads 0` resolves to the hardware
-    // concurrency here.
-    if (out == &opts.sim_threads && opts.sim_threads == 0) {
-      opts.sim_threads = std::max(1u, std::thread::hardware_concurrency());
-    }
-    if (out == &opts.shard_threads && opts.shard_threads == 0) {
-      opts.shard_threads = std::max(1u, std::thread::hardware_concurrency());
     }
   }
   args = std::move(rest);
   return true;
+}
+
+/// Selection arguments are globs and suite names, which never start with
+/// '-'; one that does is a flag the subcommand does not take.
+bool has_unknown_flag(const std::vector<std::string>& args) {
+  for (const std::string& a : args) {
+    if (!a.empty() && a[0] == '-') {
+      std::fprintf(stderr, "unknown flag '%s'\n", a.c_str());
+      return true;
+    }
+  }
+  return false;
 }
 
 /// Populate the process registry from the builtins (unless --no-builtin)
@@ -260,7 +235,7 @@ std::vector<const ScenarioSpec*> suites_selection(
 
 int cmd_list(const char* argv0, std::vector<std::string> args) {
   CommonOptions opts;
-  if (!parse_common(args, opts)) return usage(argv0);
+  if (!parse_common(args, opts) || has_unknown_flag(args)) return usage(argv0);
   std::vector<std::string> file_suites;
   if (!setup_registry(opts, file_suites)) return 2;
 
@@ -290,7 +265,7 @@ int cmd_list(const char* argv0, std::vector<std::string> args) {
 
 int cmd_run(const char* argv0, std::vector<std::string> args) {
   CommonOptions copts;
-  if (!parse_common(args, copts)) return usage(argv0);
+  if (!parse_common(args, copts) || has_unknown_flag(args)) return usage(argv0);
   std::vector<std::string> file_suites;
   if (!setup_registry(copts, file_suites)) return 2;
   if (args.empty() && file_suites.empty()) return usage(argv0);
@@ -306,8 +281,6 @@ int cmd_run(const char* argv0, std::vector<std::string> args) {
 
   SweepOptions opts;
   opts.jobs = copts.jobs;
-  opts.sim_threads = copts.sim_threads;
-  opts.shard_threads = copts.shard_threads;
   opts.stepping = copts.stepping;
   unsigned done = 0;
   opts.on_done = [&](const ScenarioResult& r) {
@@ -364,7 +337,9 @@ int cmd_emit(const char* argv0, std::vector<std::string> args) {
       wanted.push_back(args[i]);
     }
   }
-  if (out_dir.empty() || (all && !wanted.empty())) return usage(argv0);
+  if (out_dir.empty() || (all && !wanted.empty()) || has_unknown_flag(wanted)) {
+    return usage(argv0);
+  }
   std::vector<std::string> file_suites;
   if (!setup_registry(copts, file_suites)) return 2;
   if (!all && wanted.empty() && file_suites.empty()) return usage(argv0);
@@ -389,8 +364,6 @@ int cmd_emit(const char* argv0, std::vector<std::string> args) {
   EmitOptions opts;
   opts.out_dir = out_dir;
   opts.jobs = copts.jobs;
-  opts.sim_threads = copts.sim_threads;
-  opts.shard_threads = copts.shard_threads;
   opts.stepping = copts.stepping;
   opts.log = &std::cerr;
   try {
@@ -467,7 +440,7 @@ int cmd_bench(const char* argv0, std::vector<std::string> args) {
     if (value.empty()) return usage(argv0);  // --out= with nothing after
     *str_out = value;
   }
-  if (all && !wanted.empty()) return usage(argv0);
+  if ((all && !wanted.empty()) || has_unknown_flag(wanted)) return usage(argv0);
   std::vector<std::string> file_suites;
   if (!setup_registry(copts, file_suites)) return 2;
   if (!all && wanted.empty() && file_suites.empty()) return usage(argv0);
@@ -505,8 +478,6 @@ int cmd_bench(const char* argv0, std::vector<std::string> args) {
 
   SweepOptions sopts;
   sopts.jobs = copts.jobs;
-  sopts.sim_threads = copts.sim_threads;
-  sopts.shard_threads = copts.shard_threads;
   sopts.stepping = copts.stepping;
   using BenchClock = std::chrono::steady_clock;
   // Repetitions interleave across suites so host drift (thermal, noisy
@@ -596,8 +567,6 @@ int cmd_bench(const char* argv0, std::vector<std::string> args) {
     doc.set("version", 1);
     doc.set("reps", reps);
     doc.set("jobs", copts.jobs);
-    doc.set("sim_threads", copts.sim_threads);
-    doc.set("shard_threads", copts.shard_threads);
     doc.set("stepping", stepping_name(copts.stepping));
     Json host;
     host.set("hardware_concurrency", std::thread::hardware_concurrency());
@@ -634,8 +603,6 @@ int cmd_bench(const char* argv0, std::vector<std::string> args) {
     EmitOptions eopts;
     eopts.out_dir = metrics_dir;
     eopts.jobs = copts.jobs;
-    eopts.sim_threads = copts.sim_threads;
-    eopts.shard_threads = copts.shard_threads;
     eopts.stepping = copts.stepping;
     eopts.log = &std::cerr;
     try {
@@ -767,8 +734,6 @@ int cmd_explore(const char* argv0, std::vector<std::string> args) {
 
   explore::ExploreOptions eopts;
   eopts.jobs = copts.jobs;
-  eopts.sim_threads = copts.sim_threads;
-  eopts.shard_threads = copts.shard_threads;
   eopts.stepping = copts.stepping;
   eopts.log = &std::cerr;
   std::string report_path;
