@@ -48,7 +48,7 @@ endforeach()
 # src/analytics/metrics_regression.cpp), examples carry their own flags,
 # and the cmake scripts / CI workflows exercise the documented surface.
 file(GLOB extra_flag_files
-  "${SOURCE_DIR}/examples/*.cpp" "${SOURCE_DIR}/bench/*.cpp"
+  "${SOURCE_DIR}/examples/*.cpp"
   "${SOURCE_DIR}/cmake/*.cmake" "${SOURCE_DIR}/.github/workflows/*.yml")
 list(APPEND extra_flag_files "${SOURCE_DIR}/CMakeLists.txt")
 set(flags_corpus "${code}")
@@ -59,7 +59,7 @@ endforeach()
 
 # Flags owned by third-party tools the docs legitimately mention (their
 # spelling is not this repo's to keep in sync).
-set(external_flags --benchmark_filter --output-on-failure)
+set(external_flags --output-on-failure)
 
 # ---- check 1: invariant names ------------------------------------------
 # Split the docs on non-alphanumerics so adjacent citations ("S1-S3",
@@ -123,7 +123,7 @@ endforeach()
 if(missing)
   message(FATAL_ERROR
           "doc_audit: the docs cite flags that appear nowhere in src/, "
-          "tests/, tools/, examples/, bench/, cmake/, CMakeLists.txt or the "
+          "tests/, tools/, examples/, cmake/, CMakeLists.txt or the "
           "CI workflows: ${missing}")
 endif()
 list(LENGTH doc_flags n_flags)

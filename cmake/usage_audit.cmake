@@ -32,7 +32,7 @@ set(expected_tokens
   # emit
   --out --all
   # bench
-  --reps --metrics-out
+  --reps
   # gen
   --seed --count
   # explore

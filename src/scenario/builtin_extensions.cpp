@@ -81,10 +81,10 @@ void print_ext_kernels(const ResultSet& rs) {
   std::printf(
       "All kernels verify against host golden models in every configuration.\n"
       "MaxPool2x2 barely moves: all its loads are stride-2 vlse32, which the\n"
-      "paper's VLE-keyed design never bursts (see bench_ablation_stride for\n"
-      "the strided-burst extension that recovers it). Transpose moves no\n"
-      "FLOPs; its speedup bounds store-dominated traffic (loads burst,\n"
-      "strided stores serialize unchanged).\n");
+      "paper's VLE-keyed design never bursts (see tcdm_run run\n"
+      "'ablation_stride/*' for the strided-burst extension that recovers it).\n"
+      "Transpose moves no FLOPs; its speedup bounds store-dominated traffic\n"
+      "(loads burst, strided stores serialize unchanged).\n");
 }
 
 void register_ext_kernels(ScenarioRegistry& reg) {

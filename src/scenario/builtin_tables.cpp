@@ -289,7 +289,7 @@ void print_fig3(const ResultSet& rs) {
                          mg.gflops_ss});
     }
     tw.print(std::cout);
-    std::printf("--- CSV (plot with tools/plot_roofline.py or any CSV grapher) ---\n%s",
+    std::printf("--- CSV (plot with any CSV grapher) ---\n%s",
                 roofline_csv(rl_gf, samples).c_str());
   }
 }

@@ -1,8 +1,8 @@
 // Metrics emission over the scenario registry: build a suite's versioned
 // MetricsDoc from a completed sweep, or run-and-write whole suites to a
-// directory (the `tcdm_run emit` / bench `--metrics-out` backend). Because
-// each scenario runs on its own deterministic cluster and documents sort
-// their metric names, a parallel emit is byte-identical to a serial one.
+// directory (the `tcdm_run emit` backend). Because each scenario runs on
+// its own deterministic cluster and documents sort their metric names, a
+// parallel emit is byte-identical to a serial one.
 #pragma once
 
 #include <iosfwd>

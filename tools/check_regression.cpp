@@ -1,7 +1,7 @@
-// CI regression gate: compare metrics JSON emitted by the bench binaries'
-// --metrics-out mode against the recorded baselines/ documents. All logic
-// lives in src/analytics/metrics_regression.* so it is unit-testable; this
-// binary only forwards argv and the exit code.
+// CI regression gate: compare metrics JSON written by `tcdm_run emit`
+// against the recorded baselines/ documents. All logic lives in
+// src/analytics/metrics_regression.* so it is unit-testable; this binary
+// only forwards argv and the exit code.
 //
 //   ./check_regression baselines/table1.json out/table1.json
 #include "src/analytics/metrics_regression.hpp"

@@ -10,7 +10,7 @@
 //                 [--no-builtin] --out <dir> (--all | suite|glob...)
 //                                              sweep suites, write <dir>/<suite>.json
 //   tcdm_run bench [--reps N] [-j N] [--stepping M]
-//                  [--file F]... [--no-builtin] [--out F] [--metrics-out D]
+//                  [--file F]... [--no-builtin] [--out F]
 //                  (--all | suite|glob...)
 //                                              time whole-suite sweeps for N
 //                                              repetitions; print a throughput
@@ -47,6 +47,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <set>
 #include <string>
@@ -73,7 +74,7 @@ int usage(const char* argv0) {
       "       %s emit [-j N] [--stepping M] [--file F]... [--no-builtin]\n"
       "            --out <dir> (--all | suite|glob...)\n"
       "       %s bench [--reps N] [-j N] [--stepping M] [--file F]... [--no-builtin]\n"
-      "            [--out F] [--metrics-out D] (--all | suite|glob...)\n"
+      "            [--out F] (--all | suite|glob...)\n"
       "       %s validate [file...|-]\n"
       "       %s gen [--seed N] [--count K] [--out <file>]\n"
       "       %s explore [-j N] [--stepping M] [--objective NAME] [--area-cap MGE]\n"
@@ -117,6 +118,21 @@ bool parse_stepping(const std::string& value, std::optional<SteppingMode>& out) 
   return true;
 }
 
+/// Strict non-negative integer ("all" is not accepted; 0 means hardware
+/// concurrency for -j, unlimited for --budget and disabled for --fail-after).
+bool parse_size(const std::string& value, std::size_t& out) {
+  try {
+    std::size_t pos = 0;
+    if (value.empty() || value[0] == '-' || value[0] == '+') return false;
+    const unsigned long long parsed = std::stoull(value, &pos);
+    if (pos != value.size()) return false;
+    out = static_cast<std::size_t>(parsed);
+    return true;
+  } catch (const std::exception&) {
+    return false;
+  }
+}
+
 /// Parses the common flags out of `args`; returns false on a malformed or
 /// valueless flag (caller prints usage).
 bool parse_common(std::vector<std::string>& args, CommonOptions& opts) {
@@ -149,11 +165,10 @@ bool parse_common(std::vector<std::string>& args, CommonOptions& opts) {
       rest.push_back(args[i]);
       continue;
     }
-    try {
-      opts.jobs = static_cast<unsigned>(std::stoul(value));
-    } catch (const std::exception&) {
-      return false;
-    }
+    // A count beyond unsigned is refused rather than truncated.
+    std::size_t jobs = 0;
+    if (!parse_size(value, jobs) || jobs > std::numeric_limits<unsigned>::max()) return false;
+    opts.jobs = static_cast<unsigned>(jobs);
   }
   args = std::move(rest);
   return true;
@@ -393,11 +408,9 @@ int cmd_bench(const char* argv0, std::vector<std::string> args) {
   bool all = false;
   unsigned reps = 3;
   std::string out_path;
-  std::string metrics_dir;
   std::vector<std::string> wanted;
   for (std::size_t i = 0; i < args.size(); ++i) {
     std::string value;
-    std::string* str_out = nullptr;
     if (args[i] == "--all") {
       all = true;
       continue;
@@ -408,37 +421,22 @@ int cmd_bench(const char* argv0, std::vector<std::string> args) {
       } else {
         value = args[i].substr(7);
       }
-      try {
-        std::size_t pos = 0;
-        const unsigned long parsed = std::stoul(value, &pos);
-        if (pos != value.size() || parsed == 0 || parsed > 1000) return usage(argv0);
-        reps = static_cast<unsigned>(parsed);
-      } catch (const std::exception&) {
-        return usage(argv0);
-      }
+      std::size_t parsed = 0;
+      if (!parse_size(value, parsed) || parsed == 0 || parsed > 1000) return usage(argv0);
+      reps = static_cast<unsigned>(parsed);
       continue;
     } else if (args[i] == "--out" || args[i] == "-o") {
       if (i + 1 >= args.size()) return usage(argv0);
       value = args[i + 1];
       ++i;
-      str_out = &out_path;
     } else if (args[i].rfind("--out=", 0) == 0) {
       value = args[i].substr(6);
-      str_out = &out_path;
-    } else if (args[i] == "--metrics-out") {
-      if (i + 1 >= args.size()) return usage(argv0);
-      value = args[i + 1];
-      ++i;
-      str_out = &metrics_dir;
-    } else if (args[i].rfind("--metrics-out=", 0) == 0) {
-      value = args[i].substr(14);
-      str_out = &metrics_dir;
     } else {
       wanted.push_back(args[i]);
       continue;
     }
     if (value.empty()) return usage(argv0);  // --out= with nothing after
-    *str_out = value;
+    out_path = value;
   }
   if ((all && !wanted.empty()) || has_unknown_flag(wanted)) return usage(argv0);
   std::vector<std::string> file_suites;
@@ -596,22 +594,6 @@ int cmd_bench(const char* argv0, std::vector<std::string> args) {
       return 2;
     }
   }
-
-  if (!metrics_dir.empty()) {
-    // Untimed convenience pass: record the same selection's metrics docs
-    // next to the perf report (emit_suites is the shared backend).
-    EmitOptions eopts;
-    eopts.out_dir = metrics_dir;
-    eopts.jobs = copts.jobs;
-    eopts.stepping = copts.stepping;
-    eopts.log = &std::cerr;
-    try {
-      (void)emit_suites(reg, suites, eopts);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "bench: %s\n", e.what());
-      return 1;
-    }
-  }
   return 0;
 }
 
@@ -711,21 +693,6 @@ int cmd_gen(const char* argv0, std::vector<std::string> args) {
     return 2;
   }
   return 0;
-}
-
-/// Strict non-negative integer ("all" is not accepted; 0 means unlimited
-/// for --budget and disabled for --fail-after).
-bool parse_size(const std::string& value, std::size_t& out) {
-  try {
-    std::size_t pos = 0;
-    if (value.empty() || value[0] == '-' || value[0] == '+') return false;
-    const unsigned long long parsed = std::stoull(value, &pos);
-    if (pos != value.size()) return false;
-    out = static_cast<std::size_t>(parsed);
-    return true;
-  } catch (const std::exception&) {
-    return false;
-  }
 }
 
 int cmd_explore(const char* argv0, std::vector<std::string> args) {
