@@ -1,5 +1,6 @@
 #include "src/burst/burst_manager.hpp"
 
+#include <algorithm>
 #include <cassert>
 
 #include "src/memory/spm_bank.hpp"
@@ -7,7 +8,12 @@
 namespace tcdm {
 
 BurstManager::BurstManager(const BurstManagerConfig& cfg, const AddressMap& map, TileId tile)
-    : cfg_(cfg), map_(map), tile_(tile), pending_(cfg.fifo_depth), slots_(cfg.merge_slots) {
+    : cfg_(cfg),
+      map_(map),
+      tile_(tile),
+      pending_(cfg.fifo_depth),
+      wdata_(cfg.fifo_depth),
+      slots_(cfg.merge_slots) {
   assert(cfg_.grouping_factor >= 1 && cfg_.grouping_factor <= kMaxGroupingFactor);
   assert(cfg_.merge_slots >= 1);
   free_map_.init(slots_.size());
@@ -22,8 +28,9 @@ void BurstManager::attach_stats(StatsRegistry& reg, const std::string& prefix) {
   fifo_full_events_ = reg.counter(prefix + ".fifo_full_events");
 }
 
-bool BurstManager::try_accept(const TcdmReq& req) {
+bool BurstManager::try_accept(const TcdmReq& req, std::span<const Word> wdata) {
   assert(req.len > 1);
+  assert(!req.write || wdata.size() >= req.len);
   assert(req.stride >= 1);
   // A legal burst never crosses the tile boundary (Burst Sender invariant).
   assert(map_.bank_in_tile(req.addr) + (req.len - 1u) * req.stride <
@@ -32,6 +39,12 @@ bool BurstManager::try_accept(const TcdmReq& req) {
   if (!pending_.try_push(ActiveBurst{req, 0, 0, -1})) {
     fifo_full_events_.inc();
     return false;
+  }
+  if (req.write) {
+    const bool ok = wdata_.try_push({});  // pending_ accepted, so there is room
+    assert(ok);
+    (void)ok;
+    std::copy_n(wdata.begin(), req.len, wdata_.back().begin());
   }
   bursts_accepted_.inc();
   return true;
@@ -63,7 +76,7 @@ void BurstManager::issue(std::vector<SpmBank>& banks) {
         BankReq br;
         br.row = map_.row_of(ab.req.addr + ab.next_word * stride * kWordBytes);
         br.write = true;
-        br.wdata = ab.req.burst_wdata[ab.next_word];
+        br.wdata = wdata_.front()[ab.next_word];
         br.route.kind = RouteKind::kRemoteNarrow;
         br.route.owner = ReqOwner::kVecNarrow;
         br.route.write = true;
@@ -113,6 +126,7 @@ void BurstManager::issue(std::vector<SpmBank>& banks) {
       bank_reqs_issued_.inc();
       ++ab.next_word;
     }
+    if (ab.req.write) (void)wdata_.pop();
     (void)pending_.pop();  // fully issued
   }
 }
@@ -172,6 +186,7 @@ void BurstManager::defer_slot(unsigned idx) {
 
 void BurstManager::reset() {
   pending_.clear();
+  wdata_.clear();
   for (MergeSlot& ms : slots_) ms = MergeSlot{};
   rr_ = 0;
   used_slots_ = 0;

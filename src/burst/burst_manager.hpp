@@ -20,6 +20,7 @@
 #include <array>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -34,10 +35,13 @@ namespace tcdm {
 
 class SpmBank;
 
+/// Most merge slots a Burst Manager can address (BankRoute::seg is 8-bit).
+inline constexpr unsigned kMaxMergeSlots = 256;
+
 struct BurstManagerConfig {
   unsigned grouping_factor = 4;  // words merged per response beat (GF)
   unsigned fifo_depth = 4;       // pending burst requests held at the manager
-  unsigned merge_slots = 16;     // concurrent in-flight segment buffers
+  unsigned merge_slots = 16;     // concurrent in-flight segment buffers (<= kMaxMergeSlots)
   /// Store-burst extension: a write burst's payload arrives over the request
   /// channel at req_grouping_factor words/cycle, so bank writes are issued
   /// at the same rate. Read bursts are unaffected (the request is a single
@@ -51,10 +55,11 @@ class BurstManager {
 
   void attach_stats(StatsRegistry& reg, const std::string& prefix);
 
-  /// Accept a burst request (req.len > 1) from a slave port.
+  /// Accept a burst request (req.len > 1) from a slave port; a write burst
+  /// brings its payload, which is copied, so the caller may release it.
   /// Returns false when the internal FIFO is full (caller leaves the request
   /// queued upstream — backpressure).
-  [[nodiscard]] bool try_accept(const TcdmReq& req);
+  [[nodiscard]] bool try_accept(const TcdmReq& req, std::span<const Word> wdata = {});
 
   /// Issue phase: push as many pending bank requests as bank input queues
   /// and free merge slots allow. Bursts issue in FIFO order (the arbiter of
@@ -119,6 +124,10 @@ class BurstManager {
   const AddressMap& map_;
   TileId tile_;
   BoundedQueue<ActiveBurst> pending_;
+  // Payloads of the write bursts in pending_, in the same FIFO order: the
+  // burst being issued is pending_.front(), so a write burst there owns
+  // wdata_.front().
+  BoundedQueue<std::array<Word, kMaxBurstWords>> wdata_;
   std::vector<MergeSlot> slots_;
   unsigned rr_ = 0;          // rotating start for next_ready_slot
   unsigned used_slots_ = 0;  // slots not kFree (O(1) busy())

@@ -12,22 +12,34 @@ std::size_t staging_capacity_items(const BurstSenderConfig& cfg, unsigned num_po
 }
 }  // namespace
 
-BurstSender::BurstSender(const BurstSenderConfig& cfg, unsigned num_ports)
+BurstSender::BurstSender(const BurstSenderConfig& cfg, unsigned num_ports,
+                         unsigned num_classes, unsigned banks_per_tile)
     : cfg_(cfg),
       num_ports_(num_ports),
+      num_classes_(num_classes),
       capacity_items_(staging_capacity_items(cfg, num_ports)),
-      staging_(staging_capacity_items(cfg, num_ports) + kMaxPorts),
+      pool_(capacity_items_ + kMaxPorts),
+      lanes_(num_classes + banks_per_tile),
       table_(cfg.table_size) {
   assert(num_ports_ >= 1);
   assert(cfg_.max_burst_len <= kMaxBurstLen);
+  assert(pool_.size() < kNil);
+  if (cfg_.enable_store_bursts) wdata_.resize(pool_.size());
+  free_items_.reserve(pool_.size());
+  live_lanes_.init(lanes_.size());
   free_ids_.reserve(cfg_.table_size);
-  for (unsigned i = 0; i < cfg_.table_size; ++i) {
-    free_ids_.push_back(cfg_.table_size - 1 - i);
-  }
+  reset();
 }
 
 void BurstSender::reset() {
-  staging_.clear();
+  for (Lane& l : lanes_) l = Lane{};
+  live_lanes_.clear_all();
+  free_items_.clear();
+  for (std::size_t i = pool_.size(); i-- > 0;) {
+    free_items_.push_back(static_cast<std::uint16_t>(i));
+  }
+  items_ = 0;
+  next_seq_ = 0;
   for (TableEntry& e : table_) e = TableEntry{};
   free_ids_.clear();
   for (unsigned i = 0; i < cfg_.table_size; ++i) {
@@ -54,10 +66,64 @@ std::optional<std::uint32_t> BurstSender::alloc_burst() {
   return id;
 }
 
+std::uint16_t BurstSender::stage(const PendingItem& item, unsigned lane) {
+  assert(!free_items_.empty() && "BurstSender staging capacity bound violated");
+  assert(lane < lanes_.size());
+  const std::uint16_t idx = free_items_.back();
+  free_items_.pop_back();
+  PendingItem& slot = pool_[idx];
+  slot = item;
+  slot.seq = next_seq_++;
+  slot.next = kNil;
+  Lane& l = lanes_[lane];
+  if (l.tail == kNil) {
+    l.head = idx;
+    live_lanes_.set(lane);
+  } else {
+    pool_[l.tail].next = idx;
+  }
+  l.tail = idx;
+  ++items_;
+  return idx;
+}
+
+void BurstSender::stage_narrow(const WordRequest& w, const AddressMap& map,
+                               const Topology& topo, TileId home) {
+  PendingItem item;
+  item.word = w;
+  const DecodedAddr dec = map.decode(w.addr);
+  if (dec.tile == home) {
+    stage(item, num_classes_ + dec.bank_in_tile);
+  } else {
+    item.dst_tile = dec.tile;
+    stage(item, topo.class_of(home, dec.tile));
+  }
+}
+
+void BurstSender::pop_lane(unsigned lane) {
+  Lane& l = lanes_[lane];
+  const std::uint16_t idx = l.head;
+  assert(idx != kNil);
+  l.head = pool_[idx].next;
+  if (l.head == kNil) {
+    l.tail = kNil;
+    live_lanes_.clear(lane);
+  }
+  free_items_.push_back(idx);
+  --items_;
+}
+
 bool BurstSender::try_extend_tail(const WordRequest* run, unsigned n, Addr base, TileId dst,
                                   unsigned stride, bool write, const AddressMap& map) {
-  if (staging_.empty()) return false;
-  PendingItem& tail = staging_.back();
+  // The newest unsent item is the newest of the lane tails (lanes are FIFOs
+  // in staging order).
+  std::uint16_t newest = kNil;
+  live_lanes_.for_each([&](std::size_t lane) {
+    const std::uint16_t t = lanes_[lane].tail;
+    if (newest == kNil || pool_[t].seq > pool_[newest].seq) newest = t;
+  });
+  if (newest == kNil) return false;
+  PendingItem& tail = pool_[newest];
   if (!tail.is_burst || tail.dst_tile != dst) return false;
   if (tail.stride != stride || tail.write != write) return false;
   if (tail.base + static_cast<Addr>(tail.len) * stride * kWordBytes != base) return false;
@@ -67,7 +133,7 @@ bool BurstSender::try_extend_tail(const WordRequest* run, unsigned n, Addr base,
     return false;
   }
   if (write) {
-    for (unsigned i = 0; i < n; ++i) tail.wdata[tail.len + i] = run[i].wdata;
+    for (unsigned i = 0; i < n; ++i) wdata_[newest][tail.len + i] = run[i].wdata;
   } else {
     TableEntry& e = table_[tail.burst_id];
     assert(e.valid);
@@ -81,19 +147,10 @@ bool BurstSender::try_extend_tail(const WordRequest* run, unsigned n, Addr base,
 }
 
 bool BurstSender::accept_beat(const BeatRequest& beat, const AddressMap& map,
-                              TileId home_tile) {
+                              const Topology& topo, TileId home_tile) {
   assert(can_accept_beat());
-  const auto push_staged = [this](const PendingItem& item) {
-    const bool ok = staging_.try_push(item);
-    assert(ok && "BurstSender staging capacity bound violated");
-    (void)ok;
-  };
-  const auto push_narrow = [&push_staged](const WordRequest& w) {
-    PendingItem item;
-    item.is_burst = false;
-    item.word = w;
-    push_staged(item);
-  };
+  assert(topo.num_classes() == num_classes_);
+  assert(num_classes_ + map.banks_per_tile() <= lanes_.size());
 
   // A 1-word-stride vlse32 is semantically a vle32; the extension detects
   // it and rides the plain unit-stride burst path (the paper's baseline
@@ -105,7 +162,7 @@ bool BurstSender::accept_beat(const BeatRequest& beat, const AddressMap& map,
   const bool unit_store =
       cfg_.enable_bursts && cfg_.enable_store_bursts && beat.unit_stride_store;
   if (!unit_load && !strided_load && !unit_store) {
-    for (const WordRequest& w : beat.words) push_narrow(w);
+    for (const WordRequest& w : beat.words) stage_narrow(w, map, topo, home_tile);
     return true;
   }
   const unsigned stride = strided_load ? beat.stride_words : 1;
@@ -130,7 +187,9 @@ bool BurstSender::accept_beat(const BeatRequest& beat, const AddressMap& map,
 
     if (dst == home_tile || run == 1) {
       // Local runs use the full-width tile crossbar; single words stay narrow.
-      for (std::size_t j = 0; j < run; ++j) push_narrow(beat.words[i + j]);
+      for (std::size_t j = 0; j < run; ++j) {
+        stage_narrow(beat.words[i + j], map, topo, home_tile);
+      }
     } else if (try_extend_tail(&beat.words[i], static_cast<unsigned>(run), base, dst,
                                stride, write, map)) {
       // Coalesced into the still-staged previous burst (max_burst_len > K).
@@ -144,14 +203,16 @@ bool BurstSender::accept_beat(const BeatRequest& beat, const AddressMap& map,
       item.len = static_cast<std::uint8_t>(run);
       item.stride = 1;
       item.dst_tile = dst;
-      for (std::size_t j = 0; j < run; ++j) item.wdata[j] = beat.words[i + j].wdata;
-      push_staged(item);
+      const std::uint16_t idx = stage(item, topo.class_of(home_tile, dst));
+      for (std::size_t j = 0; j < run; ++j) wdata_[idx][j] = beat.words[i + j].wdata;
     } else {
       const auto id = alloc_burst();
       if (!id.has_value()) {
         // Table exhausted: degrade gracefully to narrow requests. Performance
         // falls back to baseline behaviour; correctness is unaffected.
-        for (std::size_t j = 0; j < run; ++j) push_narrow(beat.words[i + j]);
+        for (std::size_t j = 0; j < run; ++j) {
+          stage_narrow(beat.words[i + j], map, topo, home_tile);
+        }
       } else {
         TableEntry& e = table_[*id];
         e.valid = true;
@@ -167,7 +228,7 @@ bool BurstSender::accept_beat(const BeatRequest& beat, const AddressMap& map,
         item.stride = static_cast<std::uint8_t>(stride);
         item.burst_id = *id;
         item.dst_tile = dst;
-        push_staged(item);
+        stage(item, topo.class_of(home_tile, dst));
       }
     }
     i += run;
@@ -176,83 +237,80 @@ bool BurstSender::accept_beat(const BeatRequest& beat, const AddressMap& map,
   return true;
 }
 
+void BurstSender::send_remote(std::uint8_t cls, Cycle now, TileId home, HierNetwork& net) {
+  const std::uint16_t idx = lanes_[cls].head;
+  const PendingItem& it = pool_[idx];
+  TcdmReq req;
+  req.src_tile = home;
+  if (!it.is_burst) {
+    const WordRequest& w = it.word;
+    req.addr = w.addr;
+    req.len = 1;
+    req.write = w.write;
+    req.wdata = w.wdata;
+    req.tag.owner = ReqOwner::kVecNarrow;
+    req.tag.port = w.port;
+    req.tag.rob_slot = w.rob_slot;
+    narrow_sent_.inc();
+  } else {
+    req.addr = it.base;
+    req.len = it.len;
+    req.stride = it.stride;
+    req.write = it.write;
+    req.tag.owner = ReqOwner::kBurst;
+    req.tag.id = it.burst_id;
+    if (it.write) req.payload = net.stash_payload({wdata_[idx].data(), it.len});
+    bursts_sent_.inc();
+    burst_words_.inc(it.len);
+    if (it.stride > 1) strided_bursts_sent_.inc();
+    if (it.write) store_bursts_sent_.inc();
+  }
+  net.send_req(home, it.dst_tile, req, now);
+}
+
 void BurstSender::dispatch(Cycle now, TileServices& tile) {
+  if (items_ == 0) return;
   const AddressMap& map = tile.map();
   const TileId home = tile.tile_id();
   HierNetwork& net = tile.net();
-  const Topology& topo = net.topology();
 
-  // Attempt every staged item once per cycle; items whose port or bank is
-  // busy stay for the next cycle. Later items may bypass blocked ones (the
-  // per-port ROBs make retirement order-independent; kernels never issue
-  // overlapping same-address accesses inside this small window).
-  // Pop-and-requeue over the ring: unsent items keep their relative order,
-  // exactly like the old deque middle-erase, without its element shuffling.
-  const std::size_t staged = staging_.size();
-  for (std::size_t k = 0; k < staged; ++k) {
-    PendingItem item = staging_.pop();
-    const PendingItem* it = &item;
-    bool sent = false;
-    if (!it->is_burst) {
-      const WordRequest& w = it->word;
-      const DecodedAddr dec = map.decode(w.addr);
-      const TileId dst = dec.tile;
-      if (dst == home) {
-        BankReq br;
-        br.row = dec.row;
-        br.write = w.write;
-        br.wdata = w.wdata;
-        br.route.kind = RouteKind::kLocalVector;
-        br.route.port = w.port;
-        br.route.rob_slot = w.rob_slot;
-        br.route.src_tile = home;
-        if (tile.try_local_push(dec.bank_in_tile, br)) {
-          local_words_.inc();
-          sent = true;
-        }
-      } else {
-        const std::uint8_t cls = topo.class_of(home, dst);
-        if (net.can_send_req(home, cls, now)) {
-          TcdmReq req;
-          req.addr = w.addr;
-          req.len = 1;
-          req.write = w.write;
-          req.wdata = w.wdata;
-          req.src_tile = home;
-          req.tag.owner = ReqOwner::kVecNarrow;
-          req.tag.port = w.port;
-          req.tag.rob_slot = w.rob_slot;
-          net.send_req(home, dst, req, now);
-          narrow_sent_.inc();
-          sent = true;
-        }
-      }
-    } else {
-      const std::uint8_t cls = topo.class_of(home, it->dst_tile);
-      if (net.can_send_req(home, cls, now)) {
-        TcdmReq req;
-        req.addr = it->base;
-        req.len = it->len;
-        req.stride = it->stride;
-        req.write = it->write;
-        req.src_tile = home;
-        req.tag.owner = ReqOwner::kBurst;
-        req.tag.id = it->burst_id;
-        if (it->write) req.burst_wdata = it->wdata;
-        net.send_req(home, it->dst_tile, req, now);
-        bursts_sent_.inc();
-        burst_words_.inc(it->len);
-        if (it->stride > 1) strided_bursts_sent_.inc();
-        if (it->write) store_bursts_sent_.inc();
-        sent = true;
-      }
+  // Every lane offers its head; items behind a blocked head wait for the
+  // next cycle, while other lanes go on (the per-port ROBs make retirement
+  // order-independent; kernels never issue overlapping same-address
+  // accesses inside this small window). Bit-identical to attempting every
+  // staged item in staging order, because within the core phase
+  // (docs/ARCHITECTURE.md, "The simulated cycle"):
+  //  * only this tile sends on its master ports and nothing pops them, so a
+  //    class port found busy or just used stays unusable for the rest of
+  //    this call;
+  //  * a bank input queue that rejected a push stays full until phase 3;
+  //  * different classes and banks touch disjoint wait-lists and queues, so
+  //    the order in which lanes are served is unobservable.
+  live_lanes_.for_each_live([&](std::size_t lane) {
+    if (lane < num_classes_) {
+      const auto cls = static_cast<std::uint8_t>(lane);
+      if (!net.can_send_req(home, cls, now)) return;
+      send_remote(cls, now, home, net);
+      pop_lane(static_cast<unsigned>(lane));
+      assert(!net.can_send_req(home, cls, now));
+      return;
     }
-    if (!sent) {
-      const bool ok = staging_.try_push(std::move(item));
-      assert(ok);
-      (void)ok;
+    const auto bank = static_cast<unsigned>(lane - num_classes_);
+    for (std::uint16_t idx = lanes_[lane].head; idx != kNil; idx = lanes_[lane].head) {
+      const WordRequest& w = pool_[idx].word;
+      BankReq br;
+      br.row = map.row_of(w.addr);
+      br.write = w.write;
+      br.wdata = w.wdata;
+      br.route.kind = RouteKind::kLocalVector;
+      br.route.port = w.port;
+      br.route.rob_slot = w.rob_slot;
+      br.route.src_tile = home;
+      if (!tile.try_local_push(bank, br)) return;
+      local_words_.inc();
+      pop_lane(static_cast<unsigned>(lane));
     }
-  }
+  });
 }
 
 BurstSender::BurstWord BurstSender::lookup(std::uint32_t id, unsigned word_offset) const {

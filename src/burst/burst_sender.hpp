@@ -22,12 +22,13 @@
 // tile's TileServices (own banks, own master ports, see network.hpp).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
 
-#include "src/common/bounded_queue.hpp"
+#include "src/common/active_bitmap.hpp"
 #include "src/common/inline_vec.hpp"
 #include "src/common/stats.hpp"
 #include "src/common/types.hpp"
@@ -81,19 +82,22 @@ struct BeatRequest {
 
 class BurstSender {
  public:
-  BurstSender(const BurstSenderConfig& cfg, unsigned num_ports);
+  /// `num_classes` (the topology's destination classes) and `banks_per_tile`
+  /// size the send lanes; both are derived from the cluster shape.
+  BurstSender(const BurstSenderConfig& cfg, unsigned num_ports, unsigned num_classes,
+              unsigned banks_per_tile);
 
   void attach_stats(StatsRegistry& reg, const std::string& prefix);
 
   /// Room for one more beat? The VLSU checks this before address generation.
-  [[nodiscard]] bool can_accept_beat() const noexcept {
-    return staging_.size() <= capacity_items_;
-  }
+  [[nodiscard]] bool can_accept_beat() const noexcept { return items_ <= capacity_items_; }
 
   /// Stage a beat: coalesce burst-eligible runs, enqueue the rest narrow.
+  /// Each staged item joins the send lane it will leave through: its class
+  /// port (remote) or its bank (local), looked up once here.
   /// Returns false only if the burst table is exhausted (beat not accepted).
   [[nodiscard]] bool accept_beat(const BeatRequest& beat, const AddressMap& map,
-                                 TileId home_tile);
+                                 const Topology& topo, TileId home_tile);
 
   /// Drain staging into local banks and network master ports.
   void dispatch(Cycle now, TileServices& tile);
@@ -108,13 +112,15 @@ class BurstSender {
   /// whole burst has returned.
   void note_resolved(std::uint32_t id, unsigned n);
 
-  [[nodiscard]] bool busy() const noexcept { return !staging_.empty() || live_bursts_ != 0; }
-  [[nodiscard]] bool staging_empty() const noexcept { return staging_.empty(); }
+  [[nodiscard]] bool busy() const noexcept { return items_ != 0 || live_bursts_ != 0; }
+  [[nodiscard]] bool staging_empty() const noexcept { return items_ == 0; }
 
   /// Back to the just-constructed state (empty staging, all burst ids free).
   void reset();
 
  private:
+  static constexpr std::uint16_t kNil = 0xffff;
+
   struct PendingItem {
     bool is_burst = false;
     // narrow:
@@ -123,10 +129,17 @@ class BurstSender {
     Addr base = 0;
     std::uint8_t len = 0;
     std::uint8_t stride = 1;  // element spacing in words (strided-burst ext.)
-    bool write = false;       // write burst (store-burst ext.)
+    bool write = false;       // write burst (store-burst ext.); payload in wdata_
     std::uint32_t burst_id = 0;
-    TileId dst_tile = 0;
-    std::array<Word, kMaxBurstLen> wdata{};  // write-burst payload
+    TileId dst_tile = 0;      // remote items (narrow and burst)
+    std::uint64_t seq = 0;    // staging order (newest unsent = max over lane tails)
+    std::uint16_t next = kNil;  // next item in the same lane
+  };
+
+  /// FIFO of pool indices, linked through PendingItem::next.
+  struct Lane {
+    std::uint16_t head = kNil;
+    std::uint16_t tail = kNil;
   };
 
   struct TableEntry {
@@ -137,21 +150,39 @@ class BurstSender {
   };
 
   [[nodiscard]] std::optional<std::uint32_t> alloc_burst();
-  /// Try to extend the most recent staged burst with a contiguous run of the
-  /// same kind (stride and read/write must match).
+  /// Stage `item` into `lane`; returns its pool index.
+  std::uint16_t stage(const PendingItem& item, unsigned lane);
+  void stage_narrow(const WordRequest& w, const AddressMap& map, const Topology& topo,
+                    TileId home);
+  /// Unlink the head of `lane` (it was sent) and free its pool entry.
+  void pop_lane(unsigned lane);
+  /// Try to extend the most recently staged item that is still unsent with a
+  /// contiguous run of the same kind (stride and read/write must match).
   [[nodiscard]] bool try_extend_tail(const WordRequest* run, unsigned n, Addr base,
                                      TileId dst, unsigned stride, bool write,
                                      const AddressMap& map);
+  /// Put the head item of class lane `cls` on its master port.
+  void send_remote(std::uint8_t cls, Cycle now, TileId home, HierNetwork& net);
 
   BurstSenderConfig cfg_;
   unsigned num_ports_;
+  unsigned num_classes_;
   std::size_t capacity_items_;
-  // Ring, not deque: can_accept_beat() admits a beat only while
-  // size() <= capacity_items_, and one beat stages at most kMaxPorts items,
-  // so occupancy never exceeds capacity_items_ + kMaxPorts (ring capacity,
-  // asserted on push). dispatch() pops the whole ring and re-pushes unsent
-  // items, which preserves relative order exactly like the old middle-erase.
-  BoundedQueue<PendingItem> staging_;
+  // Staging is a fixed item pool threaded onto one FIFO lane per request
+  // class (lane c) and per local bank (lane num_classes_ + b). Only a lane's
+  // head can leave in a cycle (one request per class port, banks drain in
+  // order), so dispatch() costs O(live lanes), not O(staged items).
+  // can_accept_beat() admits a beat only while items_ <= capacity_items_,
+  // and one beat stages at most kMaxPorts items, so the pool holds
+  // capacity_items_ + kMaxPorts (asserted on stage).
+  std::vector<PendingItem> pool_;
+  std::vector<std::uint16_t> free_items_;
+  /// Write-burst payloads by pool index; allocated only with store bursts.
+  std::vector<std::array<Word, kMaxBurstLen>> wdata_;
+  std::vector<Lane> lanes_;
+  ActiveBitmap live_lanes_;
+  std::size_t items_ = 0;
+  std::uint64_t next_seq_ = 0;
   std::vector<TableEntry> table_;
   std::vector<std::uint32_t> free_ids_;
   unsigned live_bursts_ = 0;

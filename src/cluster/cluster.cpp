@@ -28,7 +28,7 @@ Cluster::Cluster(const ClusterConfig& cfg, const SimOptions& sim)
   cfg_.validate();
   NetworkConfig net_cfg = cfg_.net;
   net_cfg.grouping_factor = cfg_.burst_enabled ? cfg_.grouping_factor : 1;
-  net_ = std::make_unique<HierNetwork>(topo_, net_cfg, stats_);
+  net_ = std::make_unique<HierNetwork>(topo_, net_cfg, stats_, cfg_.store_bursts);
   tiles_.reserve(cfg_.num_tiles);
   for (TileId t = 0; t < cfg_.num_tiles; ++t) {
     tiles_.push_back(std::make_unique<Tile>(cfg_, t, *net_, map_, *barrier_, stats_));

@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "src/common/bitutil.hpp"
 
@@ -19,6 +21,8 @@ CoreConfig ClusterConfig::core_config() const {
   cc.spatz.sender.enable_strided_bursts = strided_bursts;
   cc.spatz.sender.enable_store_bursts = store_bursts;
   cc.spatz.sender.max_burst_len = effective_max_burst_len();
+  cc.spatz.net_classes = Topology::class_count(level_sizes);
+  cc.spatz.banks_per_tile = banks_per_tile;
   return cc;
 }
 
@@ -70,6 +74,24 @@ void ClusterConfig::validate() const {
   }
   if (barrier_radix < 2) {
     throw std::invalid_argument(name + ": barrier_radix must be >= 2");
+  }
+  // A zero-depth queue never accepts an entry: the run would only end at the
+  // watchdog's deadlock report, naming no parameter.
+  const std::pair<const char*, unsigned> depths[] = {
+      {"rob_depth", rob_depth},           {"viq_depth", viq_depth},
+      {"bank_in_depth", bank_in_depth},   {"bank_out_depth", bank_out_depth},
+      {"net.slave_depth", net.slave_depth}, {"bm.fifo_depth", bm.fifo_depth},
+      {"bm.merge_slots", bm.merge_slots}};
+  for (const auto& [field, depth] : depths) {
+    if (depth == 0) throw std::invalid_argument(name + ": " + field + " must be >= 1");
+  }
+  if (snitch.max_scalar_loads == 0 || snitch.max_scalar_loads > kMaxScalarLoads) {
+    throw std::invalid_argument(name + ": snitch.max_scalar_loads must be in 1.." +
+                                std::to_string(kMaxScalarLoads));
+  }
+  if (bm.merge_slots > kMaxMergeSlots) {
+    throw std::invalid_argument(name + ": bm.merge_slots must be <= " +
+                                std::to_string(kMaxMergeSlots));
   }
 }
 

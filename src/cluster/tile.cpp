@@ -42,7 +42,12 @@ void Tile::accept_slave_requests(Cycle now) {
     if (net_.slave_empty(id_, cls)) continue;
     const TcdmReq& req = net_.slave_front(id_, cls);
     if (req.len > 1) {
-      if (bm_.try_accept(req)) (void)net_.slave_pop(id_, cls);
+      if (!req.write) {
+        if (bm_.try_accept(req)) net_.slave_pop(id_, cls);
+      } else if (bm_.try_accept(req, net_.payload(req.payload))) {
+        net_.release_payload(req.payload);  // the Burst Manager copied it
+        net_.slave_pop(id_, cls);
+      }
       continue;
     }
     // Narrow remote request: straight to its bank (one combined decode).
@@ -58,9 +63,7 @@ void Tile::accept_slave_requests(Cycle now) {
     br.route.rob_slot = req.tag.rob_slot;
     br.route.id = req.tag.id;
     br.route.src_tile = req.src_tile;
-    if (banks_[dec.bank_in_tile].try_push(br)) {
-      (void)net_.slave_pop(id_, cls);
-    }
+    if (banks_[dec.bank_in_tile].try_push(br)) net_.slave_pop(id_, cls);
   }
 }
 

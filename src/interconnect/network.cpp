@@ -5,7 +5,8 @@
 
 namespace tcdm {
 
-HierNetwork::HierNetwork(const Topology& topo, const NetworkConfig& cfg, StatsRegistry& stats)
+HierNetwork::HierNetwork(const Topology& topo, const NetworkConfig& cfg, StatsRegistry& stats,
+                         bool write_bursts)
     : topo_(topo), cfg_(cfg), num_classes_(topo.num_classes()), num_tiles_(topo.num_tiles()) {
   assert(cfg_.grouping_factor >= 1 && cfg_.grouping_factor <= kMaxGroupingFactor);
   const std::size_t ports = static_cast<std::size_t>(num_tiles_) * num_classes_;
@@ -25,6 +26,15 @@ HierNetwork::HierNetwork(const Topology& topo, const NetworkConfig& cfg, StatsRe
     rsp_wait_.emplace_back(num_tiles_);
   }
   assert(cfg_.req_grouping_factor >= 1 && cfg_.req_grouping_factor <= kMaxGroupingFactor);
+  if (write_bursts) {
+    std::size_t in_flight = 0;
+    for (std::size_t p = 0; p < ports; ++p) {
+      in_flight += req_master_[p].capacity() + req_slave_[p].capacity();
+    }
+    payloads_.resize(in_flight);
+    free_payloads_.reserve(in_flight);
+  }
+  reset_payloads();
   req_master_free_at_.assign(ports, 0);
   rsp_master_last_push_.assign(ports, kNoCycle);
   req_registered_.assign(ports, 0);
@@ -285,6 +295,14 @@ void HierNetwork::reset() {
   rsp_dst_map_.clear_all();
   std::fill(rsp_wait_cls_cnt_.begin(), rsp_wait_cls_cnt_.end(), std::uint16_t{0});
   acks_map_.clear_all();
+  reset_payloads();
+}
+
+void HierNetwork::reset_payloads() {
+  free_payloads_.clear();
+  for (std::size_t h = payloads_.size(); h-- > 0;) {
+    free_payloads_.push_back(static_cast<std::uint32_t>(h));
+  }
 }
 
 }  // namespace tcdm

@@ -25,7 +25,11 @@
 // as in the RTL.
 #pragma once
 
+#include <algorithm>
+#include <array>
+#include <cassert>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -66,7 +70,10 @@ class RspSink {
 
 class HierNetwork {
  public:
-  HierNetwork(const Topology& topo, const NetworkConfig& cfg, StatsRegistry& stats);
+  /// `write_bursts` (the cluster's store-burst extension) allocates the
+  /// write-burst payload store; without it stash_payload() must not be used.
+  HierNetwork(const Topology& topo, const NetworkConfig& cfg, StatsRegistry& stats,
+              bool write_bursts = false);
 
   [[nodiscard]] const Topology& topology() const noexcept { return topo_; }
   [[nodiscard]] unsigned grouping_factor() const noexcept { return cfg_.grouping_factor; }
@@ -84,6 +91,28 @@ class HierNetwork {
     return now >= req_master_free_at_[p] && !req_master_[p].full();
   }
   void send_req(TileId src, TileId dst, const TcdmReq& req, Cycle now);
+
+  // ---- write-burst payloads (store-burst extension) ----
+  // A write burst's up-to-16 payload words wait out of line, in a store
+  // sized to the network's in-flight bound (every master- plus slave-queue
+  // slot), so requests stay small on every hop. The sender stashes the
+  // payload right before send_req and puts the handle in TcdmReq::payload;
+  // the serving tile releases it once its Burst Manager has copied the
+  // words.
+  [[nodiscard]] std::uint32_t stash_payload(std::span<const Word> words) {
+    assert(!free_payloads_.empty() && words.size() <= kMaxBurstWords);
+    const std::uint32_t h = free_payloads_.back();
+    free_payloads_.pop_back();
+    std::copy(words.begin(), words.end(), payloads_[h].begin());
+    return h;
+  }
+  [[nodiscard]] std::span<const Word, kMaxBurstWords> payload(std::uint32_t h) const {
+    return payloads_[h];
+  }
+  void release_payload(std::uint32_t h) {
+    assert(h < payloads_.size() && free_payloads_.size() < payloads_.size());
+    free_payloads_.push_back(h);
+  }
 
   // ---- response ingress (memory stage; one beat per (responder, class) per cycle) ----
   // Responder side: one beat per (tile, class) per cycle — each class has
@@ -113,9 +142,7 @@ class HierNetwork {
   [[nodiscard]] const TcdmReq& slave_front(TileId dst, std::uint8_t cls) const {
     return req_slave_[port_index(dst, cls)].front();
   }
-  TcdmReq slave_pop(TileId dst, std::uint8_t cls) {
-    return req_slave_[port_index(dst, cls)].pop();
-  }
+  void slave_pop(TileId dst, std::uint8_t cls) { (void)req_slave_[port_index(dst, cls)].pop(); }
 
   /// Any transaction still inside the network (drain check for barriers/tests).
   [[nodiscard]] bool busy() const;
@@ -143,6 +170,7 @@ class HierNetwork {
   }
   void register_req_head(TileId src, std::uint8_t cls);
   void register_rsp_head(TileId responder, std::uint8_t cls);
+  void reset_payloads();
 
   struct ReqEntry {
     TcdmReq req;
@@ -162,6 +190,8 @@ class HierNetwork {
   std::vector<std::uint8_t> req_registered_;          // head present in a waitlist
   std::vector<BoundedQueue<std::uint32_t>> req_wait_;  // [dst * C + cls] -> src ids
   std::vector<BoundedQueue<TcdmReq>> req_slave_;       // [dst * C + cls]
+  std::vector<std::array<Word, kMaxBurstWords>> payloads_;  // write-burst store
+  std::vector<std::uint32_t> free_payloads_;                 // free handles (stack)
 
   // Response path.
   std::vector<TimedQueue<TcdmResp>> rsp_master_;       // [responder * C + cls]

@@ -38,6 +38,7 @@ Topology::Topology(std::vector<unsigned> level_sizes, std::vector<LevelLatency> 
       ++num_classes_;
     }
   }
+  assert(num_classes_ == class_count(level_sizes_));
   if (num_classes_ > 255) throw std::invalid_argument("topology: too many classes");
 
   // Precompute the src x dst class table.
@@ -61,6 +62,12 @@ Topology::Topology(std::vector<unsigned> level_sizes, std::vector<LevelLatency> 
       class_table_[static_cast<std::size_t>(s) * num_tiles_ + d] = cls;
     }
   }
+}
+
+unsigned Topology::class_count(const std::vector<unsigned>& level_sizes) {
+  unsigned n = 1;
+  for (std::size_t lvl = 1; lvl < level_sizes.size(); ++lvl) n += level_sizes[lvl] - 1;
+  return n;
 }
 
 unsigned Topology::divergence_level(TileId src, TileId dst) const {

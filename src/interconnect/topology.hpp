@@ -51,6 +51,9 @@ class Topology {
   /// Total number of destination classes == master ports per tile
   /// (class 0 exists even when level_sizes[0] == 1, it is just never used).
   [[nodiscard]] unsigned num_classes() const noexcept { return num_classes_; }
+  /// num_classes() of a topology with these level sizes, without building
+  /// its class table: class 0 plus one class per sibling at each level >= 1.
+  [[nodiscard]] static unsigned class_count(const std::vector<unsigned>& level_sizes);
 
   /// Class of traffic from `src` to a *different* tile `dst`.
   [[nodiscard]] std::uint8_t class_of(TileId src, TileId dst) const {

@@ -40,8 +40,8 @@ struct ReqTag {
 };
 
 /// Longest burst any configuration can produce (= deepest banks-per-tile we
-/// support; bursts never cross tiles). Lives here so TcdmReq can size its
-/// write-burst payload.
+/// support; bursts never cross tiles). Sizes every write-burst payload
+/// buffer (sender staging, network store, Burst Manager).
 inline constexpr unsigned kMaxBurstWords = 16;
 
 /// Request as seen by the interconnect (master port -> slave port).
@@ -54,9 +54,11 @@ struct TcdmReq {
   Word wdata = 0;            // narrow store / AMO operand
   TileId src_tile = 0;       // requester (response routes back here)
   ReqTag tag;
-  /// Write-burst payload (store-burst extension): carried across the request
-  /// channel in ceil(len / req_grouping_factor) data beats.
-  std::array<Word, kMaxBurstWords> burst_wdata{};
+  /// Write bursts (store-burst extension) only: handle of the payload in the
+  /// network's store (HierNetwork::stash_payload). The payload crosses the
+  /// request channel in ceil(len / req_grouping_factor) data beats; keeping
+  /// it out of line keeps every other request small on each hop.
+  std::uint32_t payload = 0;
 };
 
 /// Response beat on the (possibly widened) response channel.

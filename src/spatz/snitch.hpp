@@ -19,8 +19,11 @@
 
 namespace tcdm {
 
+/// Outstanding scalar loads / AMOs a Snitch can track (its pending table).
+inline constexpr unsigned kMaxScalarLoads = 8;
+
 struct SnitchConfig {
-  unsigned max_scalar_loads = 4;   // outstanding scalar loads / AMOs
+  unsigned max_scalar_loads = 4;   // outstanding scalar loads / AMOs (<= kMaxScalarLoads)
   unsigned mul_latency = 3;        // integer multiply result latency
   unsigned fpu_latency = 4;        // scalar float op result latency
   unsigned taken_branch_penalty = 1;  // bubble cycles after a taken branch
@@ -107,7 +110,7 @@ class Snitch {
   std::array<float, kNumFRegs> f_{};
   std::array<Cycle, kNumXRegs> x_ready_{};
   std::array<Cycle, kNumFRegs> f_ready_{};
-  std::array<PendingLoad, 8> pending_{};
+  std::array<PendingLoad, kMaxScalarLoads> pending_{};
   unsigned pending_count_ = 0;
   unsigned outstanding_stores_ = 0;
   Cycle stall_until_ = 0;

@@ -9,7 +9,7 @@ Spatz::Spatz(const SpatzConfig& cfg)
       vrf_(cfg.vlen_bits),
       viq_(cfg.viq_depth),
       vfpu_(cfg.lanes, cfg.fpu_latency),
-      vlsu_(cfg.lanes, cfg.rob_depth, cfg.sender) {}
+      vlsu_(cfg.lanes, cfg.rob_depth, cfg.sender, cfg.net_classes, cfg.banks_per_tile) {}
 
 void Spatz::attach_stats(StatsRegistry& reg, const std::string& prefix) {
   vfpu_.attach_stats(reg, prefix + ".vfpu");

@@ -26,6 +26,10 @@ struct SpatzConfig {
   unsigned fpu_latency = 3;
   unsigned viq_depth = 4;
   BurstSenderConfig sender;
+  // Derived from the cluster shape (ClusterConfig::core_config); they size
+  // the Burst Sender's send lanes and are not settings of their own.
+  unsigned net_classes = 1;     // topology destination classes
+  unsigned banks_per_tile = 4;  // local banks
 };
 
 class Spatz final : public SpatzFrontend, public VCompletionSink {

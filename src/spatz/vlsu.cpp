@@ -6,8 +6,9 @@
 
 namespace tcdm {
 
-Vlsu::Vlsu(unsigned ports, unsigned rob_depth, const BurstSenderConfig& sender_cfg)
-    : ports_(ports), sender_(sender_cfg, ports) {
+Vlsu::Vlsu(unsigned ports, unsigned rob_depth, const BurstSenderConfig& sender_cfg,
+           unsigned num_classes, unsigned banks_per_tile)
+    : ports_(ports), sender_(sender_cfg, ports, num_classes, banks_per_tile) {
   assert(ports_ >= 1 && ports_ <= kMaxPorts);
   rob_.reserve(ports_);
   meta_.reserve(ports_);
@@ -53,14 +54,12 @@ void Vlsu::retire(std::array<VInstr, kVInstrSlots>& pool, VectorRegFile& vrf,
   // loop, not once per retired element: nothing reads them mid-loop, and the
   // watermark is a pure (monotone) function of the final port_retired
   // counts, so the batched update lands on the exact same value.
-  // Every ROB entry belongs to a load that is either still issuing (active_)
-  // or parked in retiring_ until fully retired — no candidates means every
-  // ROB is empty and the port scan would find nothing.
-  if (active_ < 0 && retiring_.empty()) return;
+  // Ports are visited in ascending order, as a full port scan would.
   unsigned touched = 0;  // bitmask over VInstr pool slots
-  for (unsigned p = 0; p < ports_; ++p) {
-    if (!rob_[p].head_ready()) continue;
+  for (unsigned ready = ready_ports_; ready != 0; ready &= ready - 1) {
+    const unsigned p = static_cast<unsigned>(std::countr_zero(ready));
     const Word data = rob_[p].pop_head();
+    if (!rob_[p].head_ready()) ready_ports_ &= ~(1u << p);
     const RobMeta m = meta_[p].pop();
     VInstr& instr = pool[m.slot];
     assert(instr.valid);
@@ -172,7 +171,8 @@ void Vlsu::issue(Cycle now, TileServices& tile, std::array<VInstr, kVInstrSlots>
         }
         beat.words.push_back(w);
       }
-      const bool accepted = sender_.accept_beat(beat, tile.map(), tile.tile_id());
+      const bool accepted =
+          sender_.accept_beat(beat, tile.map(), tile.net().topology(), tile.tile_id());
       assert(accepted);
       (void)accepted;
       beats_.inc();
@@ -202,6 +202,7 @@ void Vlsu::issue(Cycle now, TileServices& tile, std::array<VInstr, kVInstrSlots>
 void Vlsu::fill(unsigned port, std::uint16_t rob_slot, Word data) {
   assert(port < ports_);
   rob_[port].fill(rob_slot, data);
+  if (rob_[port].head_ready()) ready_ports_ |= 1u << port;
 }
 
 bool Vlsu::drained() const noexcept {

@@ -36,7 +36,9 @@ namespace tcdm {
 
 class Vlsu {
  public:
-  Vlsu(unsigned ports, unsigned rob_depth, const BurstSenderConfig& sender_cfg);
+  /// `num_classes` and `banks_per_tile` size the Burst Sender's send lanes.
+  Vlsu(unsigned ports, unsigned rob_depth, const BurstSenderConfig& sender_cfg,
+       unsigned num_classes, unsigned banks_per_tile);
 
   void attach_stats(StatsRegistry& reg, const std::string& prefix);
 
@@ -74,9 +76,7 @@ class Vlsu {
   [[nodiscard]] Cycle earliest_wakeup(Cycle now) const {
     if (active_ >= 0) return now;              // issues or counts a stall every cycle
     if (!sender_.staging_empty()) return now;  // dispatch() drains staged routes
-    for (const auto& r : rob_) {
-      if (r.head_ready()) return now;  // retire() pops this head next cycle
-    }
+    if (ready_ports_ != 0) return now;         // retire() pops these heads next cycle
     return kNoCycle;
   }
 
@@ -90,6 +90,7 @@ class Vlsu {
     retiring_.clear();
     for (ReorderBuffer& r : rob_) r.clear();
     for (auto& m : meta_) m.clear();
+    ready_ports_ = 0;
     sender_.reset();
     outstanding_stores_ = 0;
   }
@@ -109,6 +110,10 @@ class Vlsu {
   std::vector<unsigned> retiring_;  // fully-issued loads awaiting responses
   std::vector<ReorderBuffer> rob_;
   std::vector<BoundedQueue<RobMeta>> meta_;
+  /// Bit p set <=> rob_[p].head_ready(): set by fill(), cleared by retire()
+  /// when the next head is still empty, so retire() and earliest_wakeup()
+  /// visit only the ports that can retire.
+  unsigned ready_ports_ = 0;
   BurstSender sender_;
   unsigned outstanding_stores_ = 0;
   Counter words_loaded_;

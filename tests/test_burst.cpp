@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "src/burst/burst_manager.hpp"
@@ -154,23 +155,28 @@ TEST_F(BurstManagerTest, StalledBankRetriesNextCycle) {
 
 class FakeTile final : public TileServices {
  public:
-  FakeTile(StatsRegistry& stats)
+  explicit FakeTile(StatsRegistry& stats, Topology topo = test::flat4_topology())
       : map_(test::small_address_map()),
-        topo_(test::flat4_topology()),
+        topo_(std::move(topo)),
         // Deep master FIFOs: these tests dispatch without running the
         // network cycle that would normally drain the ports.
         net_(topo_, NetworkConfig{.master_extra_slots = 8}, stats) {}
 
   bool try_local_push(unsigned bank, const BankReq& req) override {
+    if (bank == full_bank) return false;
     local_pushes.push_back({bank, req});
-    return accept_local;
+    return true;
   }
   HierNetwork& net() override { return net_; }
+  /// A 4-port sender whose lanes match this tile's topology and map.
+  BurstSender sender(const BurstSenderConfig& cfg) const {
+    return BurstSender(cfg, 4, topo_.num_classes(), map_.banks_per_tile());
+  }
   const AddressMap& map() const override { return map_; }
   TileId tile_id() const override { return 0; }
 
   std::vector<std::pair<unsigned, BankReq>> local_pushes;
-  bool accept_local = true;
+  unsigned full_bank = ~0u;  // this bank's input queue rejects every push
   AddressMap map_;
   Topology topo_;
   HierNetwork net_;
@@ -193,9 +199,9 @@ BeatRequest unit_beat(Addr base, unsigned n, bool load = true) {
 TEST(BurstSender, CoalescesRemoteUnitStrideLoad) {
   StatsRegistry stats;
   FakeTile tile(stats);
-  BurstSender sender({.enable_bursts = true, .max_burst_len = 4}, 4);
+  BurstSender sender = tile.sender({.enable_bursts = true, .max_burst_len = 4});
   // Tile 1's words: addresses 16..31 bytes (banks 4..7).
-  ASSERT_TRUE(sender.accept_beat(unit_beat(16, 4), tile.map(), 0));
+  ASSERT_TRUE(sender.accept_beat(unit_beat(16, 4), tile.map(), tile.topo_, 0));
   sender.dispatch(0, tile);
   EXPECT_TRUE(tile.local_pushes.empty());
   EXPECT_EQ(stats.value("network.req_sent"), 1.0);   // one burst request
@@ -210,8 +216,8 @@ TEST(BurstSender, CoalescesRemoteUnitStrideLoad) {
 TEST(BurstSender, LocalBeatsBypassTheNetwork) {
   StatsRegistry stats;
   FakeTile tile(stats);
-  BurstSender sender({.enable_bursts = true, .max_burst_len = 4}, 4);
-  ASSERT_TRUE(sender.accept_beat(unit_beat(0, 4), tile.map(), 0));  // tile 0
+  BurstSender sender = tile.sender({.enable_bursts = true, .max_burst_len = 4});
+  ASSERT_TRUE(sender.accept_beat(unit_beat(0, 4), tile.map(), tile.topo_, 0));  // tile 0
   sender.dispatch(0, tile);
   EXPECT_EQ(tile.local_pushes.size(), 4u);
   EXPECT_EQ(stats.value("network.req_sent"), 0.0);
@@ -220,8 +226,8 @@ TEST(BurstSender, LocalBeatsBypassTheNetwork) {
 TEST(BurstSender, DisabledModeSendsNarrow) {
   StatsRegistry stats;
   FakeTile tile(stats);
-  BurstSender sender({.enable_bursts = false}, 4);
-  ASSERT_TRUE(sender.accept_beat(unit_beat(16, 4), tile.map(), 0));
+  BurstSender sender = tile.sender({.enable_bursts = false});
+  ASSERT_TRUE(sender.accept_beat(unit_beat(16, 4), tile.map(), tile.topo_, 0));
   sender.dispatch(0, tile);   // class port limits to 1/cycle
   sender.dispatch(1, tile);
   sender.dispatch(2, tile);
@@ -233,10 +239,10 @@ TEST(BurstSender, DisabledModeSendsNarrow) {
 TEST(BurstSender, StoresNeverBurst) {
   StatsRegistry stats;
   FakeTile tile(stats);
-  BurstSender sender({.enable_bursts = true, .max_burst_len = 4}, 4);
+  BurstSender sender = tile.sender({.enable_bursts = true, .max_burst_len = 4});
   BeatRequest b = unit_beat(16, 4, /*load=*/false);
   b.unit_stride_load = false;  // stores are not burst-eligible
-  ASSERT_TRUE(sender.accept_beat(b, tile.map(), 0));
+  ASSERT_TRUE(sender.accept_beat(b, tile.map(), tile.topo_, 0));
   for (Cycle c = 0; c < 4; ++c) sender.dispatch(c, tile);
   EXPECT_EQ(stats.value("network.req_sent"), 4.0);
 }
@@ -244,9 +250,9 @@ TEST(BurstSender, StoresNeverBurst) {
 TEST(BurstSender, SplitsAtTileBoundary) {
   StatsRegistry stats;
   FakeTile tile(stats);
-  BurstSender sender({.enable_bursts = true, .max_burst_len = 4}, 4);
+  BurstSender sender = tile.sender({.enable_bursts = true, .max_burst_len = 4});
   // Words 6..9 span tile 1 (banks 6,7) and tile 2 (banks 8,9).
-  ASSERT_TRUE(sender.accept_beat(unit_beat(24, 4), tile.map(), 0));
+  ASSERT_TRUE(sender.accept_beat(unit_beat(24, 4), tile.map(), tile.topo_, 0));
   sender.dispatch(0, tile);
   // Two bursts of two words each; distinct classes -> both sent in cycle 0.
   EXPECT_EQ(stats.value("network.req_sent"), 2.0);
@@ -258,11 +264,12 @@ TEST(BurstSender, ExtendsTailAcrossBeats) {
   FakeTile tile(stats);
   // Allow 8-word bursts (banks_per_tile is 4 in FakeTile, so use a map with
   // 8 banks/tile to permit extension).
-  BurstSender sender({.enable_bursts = true, .max_burst_len = 8}, 4);
   AddressMap map8(16, 8, 64);
+  BurstSender sender({.enable_bursts = true, .max_burst_len = 8}, 4,
+                     tile.topo_.num_classes(), map8.banks_per_tile());
   // Tile 1 = banks 8..15 -> words 8..15. Two contiguous 4-word beats.
-  ASSERT_TRUE(sender.accept_beat(unit_beat(32, 4), map8, 0));
-  ASSERT_TRUE(sender.accept_beat(unit_beat(48, 4), map8, 0));
+  ASSERT_TRUE(sender.accept_beat(unit_beat(32, 4), map8, tile.topo_, 0));
+  ASSERT_TRUE(sender.accept_beat(unit_beat(48, 4), map8, tile.topo_, 0));
   sender.dispatch(0, tile);  // FakeTile's own map differs; only count sends
   EXPECT_EQ(stats.value("network.req_sent"), 1.0);
   EXPECT_EQ(stats.value("network.req_words"), 8.0);
@@ -274,11 +281,103 @@ TEST(BurstSender, TableExhaustionDegradesToNarrow) {
   FakeTile tile(stats);
   BurstSender sender({.enable_bursts = true, .max_burst_len = 4, .table_size = 1,
                       .staging_beats = 8},
-                     4);
-  ASSERT_TRUE(sender.accept_beat(unit_beat(16, 4), tile.map(), 0));  // takes the entry
-  ASSERT_TRUE(sender.accept_beat(unit_beat(32, 4), tile.map(), 0));  // degrades
+                     4, tile.topo_.num_classes(), tile.map_.banks_per_tile());
+  ASSERT_TRUE(sender.accept_beat(unit_beat(16, 4), tile.map(), tile.topo_, 0));  // takes the entry
+  ASSERT_TRUE(sender.accept_beat(unit_beat(32, 4), tile.map(), tile.topo_, 0));  // degrades
   for (Cycle c = 0; c < 8; ++c) sender.dispatch(c, tile);
   EXPECT_EQ(stats.value("network.req_sent"), 5.0);  // 1 burst + 4 narrow
+}
+
+// ------------------------------------------------------------ send lanes --
+
+struct NoRsp final : RspSink {
+  void deliver_rsp(const TcdmResp&, Cycle) override {}
+};
+
+TEST(BurstSenderLanes, OneClassSendsOnePerCycleInStagingOrder) {
+  StatsRegistry stats;
+  // Tiles 2 and 3 sit in the sibling pair of tile 0: one class, one port.
+  FakeTile tile(stats, test::two_pair_topology());
+  const std::uint8_t cls = tile.topo_.class_of(0, 2);
+  ASSERT_EQ(tile.topo_.class_of(0, 3), cls);
+  BurstSender sender = tile.sender({.enable_bursts = false});
+  BeatRequest beat;
+  for (const Addr addr : {Addr{48}, Addr{32}}) {  // tile 3 first, then tile 2
+    WordRequest w;
+    w.addr = addr;
+    beat.words.push_back(w);
+  }
+  ASSERT_TRUE(sender.accept_beat(beat, tile.map(), tile.topo_, 0));
+  NoRsp sink;
+  sender.dispatch(0, tile);
+  EXPECT_EQ(stats.value("network.req_sent"), 1.0);  // the port takes one per cycle
+  tile.net_.cycle(0, sink);
+  sender.dispatch(1, tile);
+  EXPECT_EQ(stats.value("network.req_sent"), 2.0);
+  EXPECT_TRUE(sender.staging_empty());
+  // The tile-3 word left first: it reaches its slave queue a cycle earlier.
+  tile.net_.cycle(1, sink);
+  tile.net_.cycle(2, sink);
+  EXPECT_FALSE(tile.net_.slave_empty(3, cls));
+  EXPECT_TRUE(tile.net_.slave_empty(2, cls));
+  tile.net_.cycle(3, sink);
+  EXPECT_FALSE(tile.net_.slave_empty(2, cls));
+}
+
+TEST(BurstSenderLanes, FullLocalBankDefersOnlyItsOwnItems) {
+  StatsRegistry stats;
+  FakeTile tile(stats);
+  BurstSender sender = tile.sender({.enable_bursts = false});
+  tile.full_bank = 1;
+  // Two local beats over banks 0..3 plus one remote word to tile 1.
+  ASSERT_TRUE(sender.accept_beat(unit_beat(0, 4), tile.map(), tile.topo_, 0));
+  ASSERT_TRUE(sender.accept_beat(unit_beat(64, 4), tile.map(), tile.topo_, 0));
+  ASSERT_TRUE(sender.accept_beat(unit_beat(16, 1), tile.map(), tile.topo_, 0));
+  sender.dispatch(0, tile);
+  // Banks 0, 2 and 3 took both of their words; bank 1 took none.
+  EXPECT_EQ(tile.local_pushes.size(), 6u);
+  for (const auto& [bank, req] : tile.local_pushes) EXPECT_NE(bank, 1u);
+  EXPECT_EQ(stats.value("network.req_sent"), 1.0);  // other lanes go on
+  EXPECT_FALSE(sender.staging_empty());
+
+  tile.full_bank = ~0u;
+  tile.local_pushes.clear();
+  sender.dispatch(1, tile);
+  ASSERT_EQ(tile.local_pushes.size(), 2u);
+  // Bank 1's words leave in staging order: row 0, then row 1.
+  EXPECT_EQ(tile.local_pushes[0].first, 1u);
+  EXPECT_EQ(tile.local_pushes[0].second.row, 0u);
+  EXPECT_EQ(tile.local_pushes[1].second.row, 1u);
+  EXPECT_TRUE(sender.staging_empty());
+}
+
+TEST(BurstSenderLanes, ExtendsNewestUnsentItemAfterNewestWasSent) {
+  StatsRegistry stats;
+  FakeTile tile(stats);
+  AddressMap map8(16, 8, 64);  // 8 banks/tile, so bursts may grow past K = 4
+  BurstSender sender({.enable_bursts = true, .max_burst_len = 8}, 4,
+                     tile.topo_.num_classes(), map8.banks_per_tile());
+  // Occupy tile 1's class port for cycle 0.
+  const std::uint8_t cls = tile.topo_.class_of(0, 1);
+  TcdmReq blocker;
+  blocker.addr = 16;
+  tile.net_.send_req(0, 1, blocker, 0);
+  ASSERT_FALSE(tile.net_.can_send_req(0, cls, 0));
+
+  // Burst to tile 1 (words 8..11), then a newer local word.
+  ASSERT_TRUE(sender.accept_beat(unit_beat(32, 4), map8, tile.topo_, 0));
+  ASSERT_TRUE(sender.accept_beat(unit_beat(0, 1), map8, tile.topo_, 0));
+  sender.dispatch(0, tile);
+  EXPECT_EQ(tile.local_pushes.size(), 1u);  // the newest item left; the burst waits
+  EXPECT_FALSE(sender.staging_empty());
+
+  // The contiguous next beat joins the still-staged burst.
+  ASSERT_TRUE(sender.accept_beat(unit_beat(48, 4), map8, tile.topo_, 0));
+  sender.dispatch(1, tile);
+  EXPECT_EQ(stats.value("network.req_sent"), 2.0);   // blocker + one burst
+  EXPECT_EQ(stats.value("network.req_words"), 9.0);  // 1 + 8
+  EXPECT_EQ(sender.lookup(0, 7).rob_slot, 3u);
+  EXPECT_TRUE(sender.staging_empty());
 }
 
 }  // namespace

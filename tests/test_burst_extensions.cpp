@@ -26,13 +26,17 @@ class FakeTile final : public TileServices {
         topo_({1, 4}, {{1, 1}, {1, 1}}),
         // Deep master FIFOs: these tests dispatch without running the
         // network cycle that would normally drain the ports.
-        net_(topo_, NetworkConfig{.master_extra_slots = 8}, stats) {}
+        net_(topo_, NetworkConfig{.master_extra_slots = 8}, stats, /*write_bursts=*/true) {}
 
   bool try_local_push(unsigned bank, const BankReq& req) override {
     local_pushes.push_back({bank, req});
     return true;
   }
   HierNetwork& net() override { return net_; }
+  /// A 4-port sender whose lanes match this tile's topology and map.
+  BurstSender sender(const BurstSenderConfig& cfg) const {
+    return BurstSender(cfg, 4, topo_.num_classes(), map_.banks_per_tile());
+  }
   const AddressMap& map() const override { return map_; }
   TileId tile_id() const override { return 0; }
 
@@ -73,10 +77,10 @@ BeatRequest store_beat(Addr base, unsigned n) {
 TEST(StridedBurstSender, CoalescesStride2AcrossTwoTiles) {
   StatsRegistry stats;
   FakeTile tile(stats);
-  BurstSender sender(
-      {.enable_bursts = true, .enable_strided_bursts = true, .max_burst_len = 4}, 4);
+  BurstSender sender =
+      tile.sender({.enable_bursts = true, .enable_strided_bursts = true, .max_burst_len = 4});
   // Elements at words 4,6,8,10: banks 4,6 (tile 1) and 8,10 (tile 2).
-  ASSERT_TRUE(sender.accept_beat(strided_beat(16, 4, 2), tile.map(), 0));
+  ASSERT_TRUE(sender.accept_beat(strided_beat(16, 4, 2), tile.map(), tile.topo_, 0));
   sender.dispatch(0, tile);
   EXPECT_EQ(stats.value("network.req_sent"), 2.0);  // one burst per tile
   EXPECT_EQ(stats.value("network.req_words"), 4.0);
@@ -90,8 +94,8 @@ TEST(StridedBurstSender, CoalescesStride2AcrossTwoTiles) {
 TEST(StridedBurstSender, DisabledFlagFallsBackToNarrow) {
   StatsRegistry stats;
   FakeTile tile(stats);
-  BurstSender sender({.enable_bursts = true, .max_burst_len = 4}, 4);
-  ASSERT_TRUE(sender.accept_beat(strided_beat(16, 4, 2), tile.map(), 0));
+  BurstSender sender = tile.sender({.enable_bursts = true, .max_burst_len = 4});
+  ASSERT_TRUE(sender.accept_beat(strided_beat(16, 4, 2), tile.map(), tile.topo_, 0));
   for (Cycle c = 0; c < 4; ++c) sender.dispatch(c, tile);
   EXPECT_EQ(stats.value("network.req_sent"), 4.0);  // serialized narrow
 }
@@ -99,10 +103,10 @@ TEST(StridedBurstSender, DisabledFlagFallsBackToNarrow) {
 TEST(StridedBurstSender, StrideAtTileSpanStaysNarrow) {
   StatsRegistry stats;
   FakeTile tile(stats);
-  BurstSender sender(
-      {.enable_bursts = true, .enable_strided_bursts = true, .max_burst_len = 4}, 4);
+  BurstSender sender =
+      tile.sender({.enable_bursts = true, .enable_strided_bursts = true, .max_burst_len = 4});
   // stride 4 == banks_per_tile: every element lands in a different tile.
-  ASSERT_TRUE(sender.accept_beat(strided_beat(16, 3, 4), tile.map(), 0));
+  ASSERT_TRUE(sender.accept_beat(strided_beat(16, 3, 4), tile.map(), tile.topo_, 0));
   for (Cycle c = 0; c < 4; ++c) sender.dispatch(c, tile);
   EXPECT_EQ(stats.value("network.req_sent"), 3.0);
   EXPECT_EQ(stats.value("network.req_words"), 3.0);
@@ -111,9 +115,9 @@ TEST(StridedBurstSender, StrideAtTileSpanStaysNarrow) {
 TEST(StoreBurstSender, CoalescesRemoteUnitStrideStore) {
   StatsRegistry stats;
   FakeTile tile(stats);
-  BurstSender sender(
-      {.enable_bursts = true, .enable_store_bursts = true, .max_burst_len = 4}, 4);
-  ASSERT_TRUE(sender.accept_beat(store_beat(16, 4), tile.map(), 0));
+  BurstSender sender =
+      tile.sender({.enable_bursts = true, .enable_store_bursts = true, .max_burst_len = 4});
+  ASSERT_TRUE(sender.accept_beat(store_beat(16, 4), tile.map(), tile.topo_, 0));
   sender.dispatch(0, tile);
   EXPECT_EQ(stats.value("network.req_sent"), 1.0);
   EXPECT_EQ(stats.value("network.req_words"), 4.0);
@@ -123,8 +127,8 @@ TEST(StoreBurstSender, CoalescesRemoteUnitStrideStore) {
 TEST(StoreBurstSender, DisabledFlagKeepsStoresNarrow) {
   StatsRegistry stats;
   FakeTile tile(stats);
-  BurstSender sender({.enable_bursts = true, .max_burst_len = 4}, 4);
-  ASSERT_TRUE(sender.accept_beat(store_beat(16, 4), tile.map(), 0));
+  BurstSender sender = tile.sender({.enable_bursts = true, .max_burst_len = 4});
+  ASSERT_TRUE(sender.accept_beat(store_beat(16, 4), tile.map(), tile.topo_, 0));
   for (Cycle c = 0; c < 4; ++c) sender.dispatch(c, tile);
   EXPECT_EQ(stats.value("network.req_sent"), 4.0);
 }
@@ -132,9 +136,9 @@ TEST(StoreBurstSender, DisabledFlagKeepsStoresNarrow) {
 TEST(StoreBurstSender, LocalStoresStayNarrowLocal) {
   StatsRegistry stats;
   FakeTile tile(stats);
-  BurstSender sender(
-      {.enable_bursts = true, .enable_store_bursts = true, .max_burst_len = 4}, 4);
-  ASSERT_TRUE(sender.accept_beat(store_beat(0, 4), tile.map(), 0));  // tile 0 = home
+  BurstSender sender =
+      tile.sender({.enable_bursts = true, .enable_store_bursts = true, .max_burst_len = 4});
+  ASSERT_TRUE(sender.accept_beat(store_beat(0, 4), tile.map(), tile.topo_, 0));  // tile 0 = home
   sender.dispatch(0, tile);
   EXPECT_EQ(tile.local_pushes.size(), 4u);
   EXPECT_EQ(stats.value("network.req_sent"), 0.0);
@@ -207,6 +211,11 @@ TEST_F(StridedManagerTest, Gf2DegradesStride2ToOneWordBeats) {
 }
 
 TEST_F(StridedManagerTest, WriteBurstFansOutAndWritesBanks) {
+  // The payload travels by handle: stashed in the network's store, copied by
+  // the Burst Manager on accept, after which the handle is free again.
+  StatsRegistry stats;
+  Topology topo({1, 4}, {{1, 1}, {1, 1}});
+  HierNetwork net(topo, NetworkConfig{}, stats, /*write_bursts=*/true);
   BurstManager bm(BurstManagerConfig{4, 4, 8}, map_, 1);
   TcdmReq req;
   req.addr = addr_of(0, 7);
@@ -214,8 +223,13 @@ TEST_F(StridedManagerTest, WriteBurstFansOutAndWritesBanks) {
   req.write = true;
   req.src_tile = 2;
   req.tag.owner = ReqOwner::kBurst;
-  for (unsigned i = 0; i < 4; ++i) req.burst_wdata[i] = 7000 + i;
-  ASSERT_TRUE(bm.try_accept(req));
+  const Word words[] = {7000, 7001, 7002, 7003};
+  req.payload = net.stash_payload(words);
+  ASSERT_TRUE(bm.try_accept(req, net.payload(req.payload)));
+  net.release_payload(req.payload);
+  // Reusing the freed handle must not disturb the copied payload.
+  const Word junk[] = {1, 2, 3, 4};
+  EXPECT_EQ(net.stash_payload(junk), req.payload);
   bm.issue(banks_);
   EXPECT_FALSE(bm.busy());  // no merge slots held for writes
   for (unsigned b = 0; b < 4; ++b) {
@@ -226,6 +240,40 @@ TEST_F(StridedManagerTest, WriteBurstFansOutAndWritesBanks) {
     EXPECT_TRUE(r.route.write);
     EXPECT_EQ(r.route.src_tile, 2u);
     EXPECT_EQ(banks_[b].read_row(7), 7000 + b);
+  }
+}
+
+TEST_F(StridedManagerTest, WriteBurstPayloadSurvivesNetworkHop) {
+  // Sender-side staging -> master port -> slave queue -> Burst Manager ->
+  // banks: the words written are the words the VLSU staged.
+  StatsRegistry stats;
+  FakeTile tile(stats);
+  BurstSender sender =
+      tile.sender({.enable_bursts = true, .enable_store_bursts = true, .max_burst_len = 4});
+  BeatRequest beat = store_beat(addr_of(0, 9), 4);
+  ASSERT_TRUE(sender.accept_beat(beat, tile.map(), tile.topo_, 0));
+  sender.dispatch(0, tile);
+  ASSERT_TRUE(sender.staging_empty());
+
+  struct NoRsp final : RspSink {
+    void deliver_rsp(const TcdmResp&, Cycle) override {}
+  } sink;
+  HierNetwork& net = tile.net_;
+  const std::uint8_t cls = tile.topo_.class_of(0, 1);
+  for (Cycle c = 1; c < 8 && net.slave_empty(1, cls); ++c) net.cycle(c, sink);
+  ASSERT_FALSE(net.slave_empty(1, cls));
+  const TcdmReq& req = net.slave_front(1, cls);
+  ASSERT_TRUE(req.write);
+  ASSERT_EQ(req.len, 4u);
+
+  BurstManager bm(BurstManagerConfig{4, 4, 8}, map_, 1);
+  ASSERT_TRUE(bm.try_accept(req, net.payload(req.payload)));
+  net.release_payload(req.payload);
+  net.slave_pop(1, cls);
+  bm.issue(banks_);
+  for (unsigned b = 0; b < 4; ++b) {
+    banks_[b].cycle();
+    EXPECT_EQ(banks_[b].read_row(9), beat.words[b].wdata);
   }
 }
 

@@ -15,6 +15,7 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <new>
 #include <string>
 
@@ -22,6 +23,7 @@
 #include "src/common/json.hpp"
 #include "src/common/ring_deque.hpp"
 #include "src/kernels/axpy.hpp"
+#include "src/kernels/fft.hpp"
 #include "tests/support/test_support.hpp"
 
 namespace {
@@ -93,31 +95,54 @@ TEST(HotPathAlloc, HookCountsAllocations) {
   EXPECT_GE(after - before, 1u);
 }
 
+struct SteadyStateCase {
+  const char* name;
+  ClusterConfig (*config)();
+  std::unique_ptr<Kernel> (*kernel)();
+};
+
+const SteadyStateCase kSteadyStateCases[] = {
+    // MP4Spatz4 with GF4 bursts: the full hot path — vector loads/stores,
+    // burst merge, hierarchical network, barriers.
+    {"mp4_gf4_axpy", [] { return test::mp4_config(4); },
+     []() -> std::unique_ptr<Kernel> { return std::make_unique<AxpyKernel>(4096); }},
+    // Store and strided bursts enabled: axpy's unit-stride stores become
+    // write bursts, whose payloads live in the sender staging, the
+    // network's payload store and the Burst Manager.
+    {"mp4_gf4_store_strided_axpy",
+     [] { return test::mp4_config(4).with_strided_bursts().with_store_bursts(2); },
+     []() -> std::unique_ptr<Kernel> { return std::make_unique<AxpyKernel>(4096); }},
+    // Baseline MP64: narrow traffic over four request classes per tile.
+    {"mp64_baseline_fft", [] { return ClusterConfig::mp64spatz4(); },
+     []() -> std::unique_ptr<Kernel> { return std::make_unique<FftKernel>(4, 2048); }},
+};
+
 TEST(HotPathAlloc, ClusterSteadyStateStepIsAllocationFree) {
-  // MP4Spatz4 with GF4 bursts: the full hot path — vector loads/stores,
-  // burst merge, hierarchical network, barriers — on a kernel big enough
-  // that thousands of steady-state cycles remain after warm-up.
-  Cluster cluster(test::mp4_config(4));
-  AxpyKernel kernel(4096);
-  cluster.set_watchdog_window(1'000'000);
-  kernel.setup(cluster);
+  // Each kernel is big enough that thousands of steady-state cycles remain
+  // after warm-up.
+  for (const SteadyStateCase& c : kSteadyStateCases) {
+    Cluster cluster(c.config());
+    const std::unique_ptr<Kernel> kernel = c.kernel();
+    cluster.set_watchdog_window(1'000'000);
+    kernel->setup(cluster);
 
-  // Warm-up: queues reach their high-water occupancy and every grow-only
-  // ring its final capacity.
-  bool halted = false;
-  for (int i = 0; i < 1000 && !halted; ++i) halted = cluster.step();
-  ASSERT_FALSE(halted) << "kernel finished during warm-up; enlarge it";
+    // Warm-up: queues reach their high-water occupancy and every grow-only
+    // ring its final capacity.
+    bool halted = false;
+    for (int i = 0; i < 1000 && !halted; ++i) halted = cluster.step();
+    ASSERT_FALSE(halted) << c.name << ": kernel finished during warm-up; enlarge it";
 
-  const std::uint64_t before = alloc_count();
-  int steps = 0;
-  for (; steps < 1000 && !halted; ++steps) halted = cluster.step();
-  const std::uint64_t allocs = alloc_count() - before;
-  EXPECT_EQ(allocs, 0u) << allocs << " heap allocations in " << steps
-                        << " steady-state step() calls (hot-path rule P1)";
+    const std::uint64_t before = alloc_count();
+    int steps = 0;
+    for (; steps < 1000 && !halted; ++steps) halted = cluster.step();
+    const std::uint64_t allocs = alloc_count() - before;
+    EXPECT_EQ(allocs, 0u) << c.name << ": " << allocs << " heap allocations in " << steps
+                          << " steady-state step() calls (hot-path rule P1)";
 
-  // The run must still complete and verify — the window above was real work.
-  while (!halted) halted = cluster.step();
-  EXPECT_TRUE(kernel.verify(cluster));
+    // The run must still complete and verify — the window above was real work.
+    while (!halted) halted = cluster.step();
+    EXPECT_TRUE(kernel->verify(cluster)) << c.name;
+  }
 }
 
 TEST(HotPathAlloc, JsonDumpAllocationsStaySublinear) {

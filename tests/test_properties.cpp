@@ -151,7 +151,7 @@ TEST(BurstSenderProperty, RandomBeatsConserveWordsAndRespectTiles) {
     const unsigned max_len = 1 + rng.next_below(std::min(bpt, kMaxBurstLen));
     BurstSender sender({.enable_bursts = true, .max_burst_len = max_len,
                         .staging_beats = 16},
-                       ports);
+                       ports, tile.topo_.num_classes(), bpt);
     sender.attach_stats(stats, "s");
 
     // Random unit-stride beat fully inside the address space.
@@ -168,7 +168,7 @@ TEST(BurstSenderProperty, RandomBeatsConserveWordsAndRespectTiles) {
       w.rob_slot = static_cast<std::uint16_t>(i);
       beat.words.push_back(w);
     }
-    ASSERT_TRUE(sender.accept_beat(beat, tile.map_, 0));
+    ASSERT_TRUE(sender.accept_beat(beat, tile.map_, tile.topo_, 0));
     for (Cycle c = 0; c < 4 * n + 8; ++c) sender.dispatch(c, tile);
 
     // Conservation: every word went somewhere exactly once.
