@@ -81,7 +81,11 @@ MetricsDoc MetricsDoc::read_file(const std::string& path) {
   if (!in) throw std::runtime_error("cannot read " + path);
   std::ostringstream buf;
   buf << in.rdbuf();
-  return from_json(Json::parse(buf.str()));
+  try {
+    return from_json(Json::parse(buf.str()));
+  } catch (const std::exception& e) {
+    throw std::runtime_error(path + ": " + e.what());
+  }
 }
 
 // ------------------------------------------- full-result serialization ----

@@ -70,8 +70,7 @@ struct MetricsDoc {
   static MetricsDoc from_json(const Json& j);
 
   void write_file(const std::string& path) const;
-  /// Throws std::runtime_error when unreadable, SchemaError/JsonError when
-  /// malformed.
+  /// Throws std::runtime_error naming `path` when unreadable or malformed.
   static MetricsDoc read_file(const std::string& path);
 };
 

@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <sstream>
 
 #include "src/analytics/report.hpp"
@@ -24,15 +23,13 @@ const char* status_label(DiffStatus s) {
 
 }  // namespace
 
-CompareResult compare(const MetricsDoc& baseline, const MetricsDoc& current,
-                      const CompareOptions& opts) {
+CompareResult compare(const MetricsDoc& baseline, const MetricsDoc& current) {
   CompareResult result;
-  result.new_metrics_fail = opts.fail_on_new;
   for (const auto& [name, base] : baseline.metrics) {
     MetricDiff d;
     d.name = name;
     d.baseline = base.value;
-    d.rel_tol = base.rel_tol * opts.tol_scale;
+    d.rel_tol = base.rel_tol;
     const auto it = current.metrics.find(name);
     if (it == current.metrics.end()) {
       d.status = DiffStatus::kMissing;
@@ -48,8 +45,8 @@ CompareResult compare(const MetricsDoc& baseline, const MetricsDoc& current,
         d.status = DiffStatus::kNotFinite;
         ++result.num_not_finite;
       } else if (!std::isfinite(d.rel_tol) || std::fabs(d.rel_delta) > d.rel_tol) {
-        // A NaN/inf tolerance (hand-edited baseline, bad --tol-scale) would
-        // otherwise make every comparison pass vacuously; fail instead.
+        // A NaN/inf tolerance (hand-edited baseline) would otherwise make
+        // every comparison pass vacuously; fail instead.
         d.status = DiffStatus::kOutOfTolerance;
         ++result.num_out_of_tolerance;
       } else {
@@ -65,9 +62,9 @@ CompareResult compare(const MetricsDoc& baseline, const MetricsDoc& current,
     d.name = name;
     d.baseline = std::nan("");
     d.current = cur.value;
-    d.rel_tol = cur.rel_tol * opts.tol_scale;
-    // A poisoned value is a failure even before the metric is recorded —
-    // kNew's warning-only default must not let NaN slip into a baseline.
+    d.rel_tol = cur.rel_tol;
+    // An unrecorded metric fails so that no emitted metric goes ungated;
+    // a poisoned one is reported as such rather than as merely new.
     if (!std::isfinite(cur.value)) {
       d.status = DiffStatus::kNotFinite;
       ++result.num_not_finite;
@@ -102,27 +99,12 @@ std::string render_delta_table(const CompareResult& result, bool verbose) {
 }
 
 int run_check_cli(int argc, const char* const* argv) {
-  CompareOptions opts;
   bool verbose = false;
   std::vector<std::string> files;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--fail-on-new") {
-      opts.fail_on_new = true;
-    } else if (arg == "--verbose") {
+    if (arg == "--verbose") {
       verbose = true;
-    } else if (arg == "--tol-scale") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "check_regression: --tol-scale needs a value\n");
-        return 2;
-      }
-      char* end = nullptr;
-      opts.tol_scale = std::strtod(argv[++i], &end);
-      if (end == argv[i] || *end != '\0' || !std::isfinite(opts.tol_scale) ||
-          opts.tol_scale <= 0.0) {
-        std::fprintf(stderr, "check_regression: bad --tol-scale value '%s'\n", argv[i]);
-        return 2;
-      }
     } else if (!arg.empty() && arg[0] == '-') {
       std::fprintf(stderr, "check_regression: unknown option '%s'\n", arg.c_str());
       return 2;
@@ -132,7 +114,7 @@ int run_check_cli(int argc, const char* const* argv) {
   }
   if (files.empty() || files.size() % 2 != 0) {
     std::fprintf(stderr,
-                 "usage: check_regression [--tol-scale <x>] [--fail-on-new] [--verbose]\n"
+                 "usage: check_regression [--verbose]\n"
                  "                        <baseline.json> <current.json> [<b2> <c2> ...]\n");
     return 2;
   }
@@ -147,7 +129,7 @@ int run_check_cli(int argc, const char* const* argv) {
       std::fprintf(stderr, "check_regression: %s\n", e.what());
       return 2;
     }
-    const CompareResult result = compare(baseline, current, opts);
+    const CompareResult result = compare(baseline, current);
     std::printf("=== %s: %s vs %s ===\n",
                 baseline.suite.empty() ? "(unnamed suite)" : baseline.suite.c_str(),
                 files[i].c_str(), files[i + 1].c_str());

@@ -17,7 +17,7 @@ enum class DiffStatus {
   kOutOfTolerance,  // |delta| exceeds the baseline's rel_tol
   kNotFinite,       // current value is NaN/Inf — always a failure
   kMissing,         // in the baseline but absent from the current export
-  kNew,             // emitted but not recorded — a warning unless fail_on_new
+  kNew,             // emitted but not recorded — a failure (record it first)
 };
 
 struct MetricDiff {
@@ -29,15 +29,6 @@ struct MetricDiff {
   DiffStatus status = DiffStatus::kOk;
 };
 
-struct CompareOptions {
-  /// Scales every baseline tolerance (e.g. 2.0 doubles the allowed drift);
-  /// useful for platform-variance escape hatches without editing baselines.
-  double tol_scale = 1.0;
-  /// Treat metrics missing from the baseline as failures instead of
-  /// warnings (use when a baseline is meant to be exhaustive).
-  bool fail_on_new = false;
-};
-
 struct CompareResult {
   std::vector<MetricDiff> diffs;  // baseline order, then new metrics
   unsigned num_ok = 0;
@@ -45,16 +36,14 @@ struct CompareResult {
   unsigned num_not_finite = 0;
   unsigned num_missing = 0;
   unsigned num_new = 0;
-  bool new_metrics_fail = false;
 
   [[nodiscard]] bool passed() const {
     return num_out_of_tolerance == 0 && num_not_finite == 0 && num_missing == 0 &&
-           (!new_metrics_fail || num_new == 0);
+           num_new == 0;
   }
 };
 
-[[nodiscard]] CompareResult compare(const MetricsDoc& baseline, const MetricsDoc& current,
-                                    const CompareOptions& opts = {});
+[[nodiscard]] CompareResult compare(const MetricsDoc& baseline, const MetricsDoc& current);
 
 /// Delta table (TableWriter format) of every non-OK metric plus summary
 /// counts; `verbose` includes in-tolerance rows too.
@@ -62,9 +51,7 @@ struct CompareResult {
                                              bool verbose = false);
 
 /// The check_regression command line:
-///   check_regression [options] <baseline.json> <current.json> [<b2> <c2> ...]
-///     --tol-scale <x>   scale all tolerances
-///     --fail-on-new     fail when the current export has unrecorded metrics
+///   check_regression [--verbose] <baseline.json> <current.json> [<b2> <c2> ...]
 ///     --verbose         print in-tolerance rows too
 /// Returns 0 when every pair passes, 1 on regression, 2 on usage/IO errors.
 [[nodiscard]] int run_check_cli(int argc, const char* const* argv);

@@ -320,7 +320,15 @@ class Parser {
     }
     while (true) {
       if (peek() != '"') fail("expected object key");
+      const std::size_t key_at = pos_;
       std::string key = parse_string();
+      if (obj.count(key) != 0) {
+        // A silently dropped duplicate would let a stale value win unseen.
+        std::string what = "duplicate object key ";
+        append_escaped(what, key);
+        pos_ = key_at;
+        fail(what);
+      }
       expect(':');
       obj[std::move(key)] = parse_value();
       const char c = peek();

@@ -284,8 +284,7 @@ void register_explorer(ScenarioRegistry& reg) {
       {"local", RandomProbeKernel::Pattern::kLocalOnly},
   };
   for (const std::string& preset : testbed_presets()) {
-    // GF8 rides along for parity with the ablation_gf sweep (and the
-    // bandwidth_explorer CLI, which forwards its [gf] argument here).
+    // GF8 rides along for parity with the ablation_gf sweep.
     for (unsigned gf : {0u, 2u, 4u, 8u}) {
       for (const auto& p : patterns) {
         ScenarioSpec s;

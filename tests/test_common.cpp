@@ -1,5 +1,5 @@
-// Unit tests for the simulation substrate: queues, arbiter, RNG, stats,
-// watchdog, bit utilities.
+// Unit tests for the simulation substrate: queues, RNG, stats, watchdog,
+// bit utilities, JSON.
 #include <gtest/gtest.h>
 
 #include <limits>
@@ -7,7 +7,6 @@
 #include <set>
 #include <vector>
 
-#include "src/common/arbiter.hpp"
 #include "src/common/bitutil.hpp"
 #include "src/common/bounded_queue.hpp"
 #include "src/common/json.hpp"
@@ -78,33 +77,6 @@ TEST(TimedQueue, HeadBlocksLaterReadyEntries) {
   EXPECT_TRUE(q.front_ready(100));
   EXPECT_EQ(q.pop(), 1);
   EXPECT_TRUE(q.front_ready(50));
-}
-
-TEST(RoundRobinArbiter, RotatesGrants) {
-  RoundRobinArbiter arb(4);
-  const auto all = [](unsigned) { return true; };
-  EXPECT_EQ(arb.pick(all).value(), 0u);
-  EXPECT_EQ(arb.pick(all).value(), 1u);
-  EXPECT_EQ(arb.pick(all).value(), 2u);
-  EXPECT_EQ(arb.pick(all).value(), 3u);
-  EXPECT_EQ(arb.pick(all).value(), 0u);
-}
-
-TEST(RoundRobinArbiter, SkipsNotReadyAndIsFair) {
-  RoundRobinArbiter arb(3);
-  const auto only2 = [](unsigned i) { return i == 2; };
-  EXPECT_EQ(arb.pick(only2).value(), 2u);
-  EXPECT_EQ(arb.pick(only2).value(), 2u);
-  const auto none = [](unsigned) { return false; };
-  EXPECT_FALSE(arb.pick(none).has_value());
-}
-
-TEST(RoundRobinArbiter, LongRunFairnessUnderFullLoad) {
-  RoundRobinArbiter arb(5);
-  std::vector<unsigned> grants(5, 0);
-  const auto all = [](unsigned) { return true; };
-  for (unsigned i = 0; i < 1000; ++i) ++grants[arb.pick(all).value()];
-  for (unsigned g : grants) EXPECT_EQ(g, 200u);
 }
 
 TEST(Rng, DeterministicForSeed) {

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <filesystem>
+#include <fstream>
 
 #include "src/analytics/metrics_export.hpp"
 #include "src/common/json.hpp"
@@ -50,6 +51,17 @@ TEST(Json, NonFiniteSerializesAsNullAndReadsBackAsNan) {
   EXPECT_EQ(text, "null\n");
   EXPECT_TRUE(std::isnan(Json::parse(text).as_double()));
   EXPECT_EQ(Json(INFINITY).dump(), "null\n");
+}
+
+TEST(Json, DuplicateObjectKeyIsRejected) {
+  try {
+    (void)Json::parse("{\"a\": {\"k\": 1, \"k\": 2}}");
+    ADD_FAILURE() << "a duplicate key must not parse";
+  } catch (const JsonError& e) {
+    EXPECT_STREQ(e.what(), "JSON parse error at offset 15: duplicate object key \"k\"");
+  }
+  // The same key in sibling objects is not a duplicate.
+  EXPECT_NO_THROW((void)Json::parse("[{\"k\": 1}, {\"k\": 2}]"));
 }
 
 TEST(Json, ParseErrorsThrow) {
@@ -160,6 +172,20 @@ TEST(MetricsDoc, FileRoundTrip) {
   EXPECT_EQ(back.metrics.size(), 3u);
   std::filesystem::remove(path);
   EXPECT_THROW((void)MetricsDoc::read_file(path), std::runtime_error);
+}
+
+TEST(MetricsDoc, ReadErrorsNameTheFile) {
+  const std::string path =
+      (std::filesystem::path(::testing::TempDir()) / "metrics_bare_nan.json").string();
+  std::ofstream(path) << "{\"schema\": \"tcdm-metrics\", \"metrics\": {\"a\": NaN}}";
+  try {
+    (void)MetricsDoc::read_file(path);
+    ADD_FAILURE() << "a bare NaN must not parse";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()).rfind(path + ": JSON parse error at offset ", 0), 0u)
+        << e.what();
+  }
+  std::filesystem::remove(path);
 }
 
 TEST(MetricsDoc, AddKernelMetricsUsesStableNames) {

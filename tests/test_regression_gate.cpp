@@ -14,7 +14,6 @@
 namespace tcdm {
 namespace {
 
-using metrics::CompareOptions;
 using metrics::CompareResult;
 using metrics::DiffStatus;
 using metrics::MetricsDoc;
@@ -85,19 +84,16 @@ TEST(RegressionGate, MissingMetricFails) {
   EXPECT_EQ(diff_named(r, "a/sim/bw_per_core").status, DiffStatus::kMissing);
 }
 
-TEST(RegressionGate, NewMetricWarnsByDefaultFailsOnRequest) {
+TEST(RegressionGate, NewMetricFails) {
   MetricsDoc cur = base_doc();
   cur.add("a/sim/brand_new", 1.0, 0.02);
-  const CompareResult lenient = metrics::compare(base_doc(), cur);
-  EXPECT_TRUE(lenient.passed());
-  EXPECT_EQ(lenient.num_new, 1u);
-  EXPECT_EQ(diff_named(lenient, "a/sim/brand_new").status, DiffStatus::kNew);
-  CompareOptions strict;
-  strict.fail_on_new = true;
-  EXPECT_FALSE(metrics::compare(base_doc(), cur, strict).passed());
+  const CompareResult r = metrics::compare(base_doc(), cur);
+  EXPECT_FALSE(r.passed());
+  EXPECT_EQ(r.num_new, 1u);
+  EXPECT_EQ(diff_named(r, "a/sim/brand_new").status, DiffStatus::kNew);
 }
 
-TEST(RegressionGate, NanInUnrecordedMetricFailsDespiteLenientNewPolicy) {
+TEST(RegressionGate, NanInUnrecordedMetricIsReportedAsNonFinite) {
   MetricsDoc cur = base_doc();
   cur.add("a/sim/brand_new", std::nan(""), 0.02);
   const CompareResult r = metrics::compare(base_doc(), cur);
@@ -138,15 +134,6 @@ TEST(RegressionGate, NonFiniteToleranceFailsInsteadOfPassingVacuously) {
     EXPECT_FALSE(r.passed());
     EXPECT_EQ(diff_named(r, "a/sim/bw_per_core").status, DiffStatus::kOutOfTolerance);
   }
-}
-
-TEST(RegressionGate, TolScaleWidensEveryBudget) {
-  MetricsDoc cur = base_doc();
-  cur.metrics["a/sim/bw_per_core"].value = 9.7;  // -3% vs 2% budget
-  EXPECT_FALSE(metrics::compare(base_doc(), cur).passed());
-  CompareOptions wide;
-  wide.tol_scale = 2.0;  // 4% budget
-  EXPECT_TRUE(metrics::compare(base_doc(), cur, wide).passed());
 }
 
 TEST(RegressionGate, DeltaTableNamesOffendersAndCounts) {
@@ -200,8 +187,6 @@ TEST_F(CheckRegressionCli, InjectedRegressionExitsNonZero) {
   cur.metrics["a/sim/bw_per_core"].value *= 0.90;  // perturb a bandwidth figure
   cur.write_file(current_path_);
   EXPECT_EQ(run({baseline_path_.c_str(), current_path_.c_str()}), 1);
-  // Escape hatch: scaling tolerances 10x lets the same drift pass.
-  EXPECT_EQ(run({"--tol-scale", "10", baseline_path_.c_str(), current_path_.c_str()}), 0);
 }
 
 TEST_F(CheckRegressionCli, SecondPairFailingFailsTheWholeRun) {
@@ -222,15 +207,14 @@ TEST_F(CheckRegressionCli, UsageAndIoErrorsExitTwo) {
   EXPECT_EQ(run({baseline_path_.c_str()}), 2);          // odd file count
   EXPECT_EQ(run({baseline_path_.c_str(), (dir_ / "absent.json").string().c_str()}), 2);
   EXPECT_EQ(run({"--bogus-flag", baseline_path_.c_str(), baseline_path_.c_str()}), 2);
-  EXPECT_EQ(run({"--tol-scale", "zero", baseline_path_.c_str(), baseline_path_.c_str()}),
-            2);
-  // Non-finite scales would vacuously pass every metric; reject them.
-  EXPECT_EQ(run({"--tol-scale", "nan", baseline_path_.c_str(), baseline_path_.c_str()}),
-            2);
-  EXPECT_EQ(run({"--tol-scale", "inf", baseline_path_.c_str(), baseline_path_.c_str()}),
-            2);
   std::ofstream(dir_ / "garbage.json") << "not json at all";
   EXPECT_EQ(run({baseline_path_.c_str(), (dir_ / "garbage.json").string().c_str()}), 2);
+  // A duplicated metric key must not let its last value win unseen.
+  std::string text = base_doc().to_json().dump();
+  const std::string first = "\"a/model/peak\": {";
+  text.insert(text.find(first), "\"a/model/peak\": {\"rel_tol\": 1, \"value\": 0},\n");
+  std::ofstream(dir_ / "duplicate.json") << text;
+  EXPECT_EQ(run({(dir_ / "duplicate.json").string().c_str(), baseline_path_.c_str()}), 2);
 }
 
 }  // namespace
