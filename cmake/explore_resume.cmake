@@ -1,9 +1,8 @@
 # CTest script: crash-resume correctness for `tcdm_run explore`. Injects a
 # fault with --fail-after N (the CLI must exit 3 — an injected abort, not a
-# real failure), then resumes from the written checkpoint and requires the
-# final Pareto report to be byte-identical to an uninterrupted run's. Also
-# exercises the mismatched-checkpoint guard: resuming with a different
-# objective must fail with exit 2 and name the state file.
+# real failure), then reruns on the same --cache and requires the final
+# Pareto report to be byte-identical to an uninterrupted run's, with the
+# aborted run's simulations answered from the memo store.
 #
 # Variables (passed with -D):
 #   TCDM_RUN  path to the tcdm_run binary
@@ -46,24 +45,27 @@ endif()
 # injected fault from a scenario failure (1) or an IO/usage error (2).
 execute_process(
   COMMAND "${TCDM_RUN}" explore --cache "${OUT_DIR}/cache.jsonl"
-          --state "${OUT_DIR}/state.json" --fail-after 3 "${suite}"
+          --fail-after 3 "${suite}"
   RESULT_VARIABLE rc OUTPUT_QUIET ERROR_QUIET)
 if(NOT rc EQUAL 3)
   message(FATAL_ERROR "--fail-after run: expected exit 3, got ${rc}")
 endif()
-if(NOT EXISTS "${OUT_DIR}/state.json")
-  message(FATAL_ERROR "aborted run left no checkpoint behind")
-endif()
 
-# Resume: the cached simulations are reused and the search completes with a
-# frontier byte-identical to the uninterrupted run's.
+# Rerun on the same cache: the cached simulations are reused and the search
+# completes with a frontier byte-identical to the uninterrupted run's.
 execute_process(
   COMMAND "${TCDM_RUN}" explore --cache "${OUT_DIR}/cache.jsonl"
-          --state "${OUT_DIR}/state.json" --resume
           --report "${OUT_DIR}/resumed.json" "${suite}"
-  RESULT_VARIABLE rc OUTPUT_QUIET ERROR_QUIET)
+  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_QUIET)
 if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "resumed explore failed (exit ${rc})")
+  message(FATAL_ERROR "rerun on the cache failed (exit ${rc})")
+endif()
+if(NOT out MATCHES " cache_hits=([0-9]+) ")
+  message(FATAL_ERROR "rerun printed no summary line: ${out}")
+endif()
+if(CMAKE_MATCH_1 LESS 3)
+  message(FATAL_ERROR
+          "rerun answered ${CMAKE_MATCH_1} points from the cache, expected >= 3")
 endif()
 
 execute_process(
@@ -74,18 +76,4 @@ if(NOT rc EQUAL 0)
   message(FATAL_ERROR "resumed frontier differs from the uninterrupted run")
 endif()
 
-# Checkpoint identity guard: the state file belongs to the pareto-area-bw
-# search above; resuming a min-cycles search from it must be refused (exit
-# 2) and the error must name the offending file.
-execute_process(
-  COMMAND "${TCDM_RUN}" explore --state "${OUT_DIR}/state.json" --resume
-          --objective min-cycles "${suite}"
-  RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
-if(NOT rc EQUAL 2)
-  message(FATAL_ERROR "mismatched checkpoint: expected exit 2, got ${rc}")
-endif()
-if(NOT err MATCHES "state\\.json")
-  message(FATAL_ERROR "mismatch error does not name the state file: ${err}")
-endif()
-
-message(STATUS "fail-after abort (exit 3) + resume reproduces the reference")
+message(STATUS "fail-after abort (exit 3) + rerun on the cache reproduces the reference")

@@ -34,8 +34,7 @@ set(expected_tokens
   # gen
   --seed --count
   # explore
-  --objective --area-cap --budget --cache --state --resume --no-prune
-  --report --stats-out --fail-after
+  --objective --area-cap --budget --cache --no-prune --report --fail-after
   # --stepping mode values
   event cycle check
   # system-layer scenario surface: the scale-out block and its barrier kinds

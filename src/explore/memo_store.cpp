@@ -1,6 +1,8 @@
 #include "src/explore/memo_store.hpp"
 
+#include <cstdint>
 #include <filesystem>
+#include <optional>
 #include <sstream>
 #include <utility>
 
@@ -91,8 +93,14 @@ MemoStore::MemoStore(const std::string& path) : path_(path) {
     std::string line;
     std::size_t line_no = 0;
     bool header_seen = false;
+    std::uintmax_t line_end = 0;            // byte offset past the line read
+    std::optional<std::uintmax_t> torn_at;  // start of a torn final line
+    bool unterminated = false;              // last line kept lacks its '\n'
     while (std::getline(in, line)) {
       ++line_no;
+      const std::uintmax_t line_start = line_end;
+      unterminated = in.eof();
+      line_end += line.size() + (unterminated ? 0 : 1);
       if (line.empty()) continue;
       Json j;
       try {
@@ -101,7 +109,11 @@ MemoStore::MemoStore(const std::string& path) : path_(path) {
         // A torn final line is the expected artifact of a killed run: the
         // entry was lost, the store is otherwise intact. Anywhere else,
         // unparsable content means the file cannot be trusted.
-        if (in.eof()) break;
+        if (unterminated) {
+          torn_at = line_start;
+          unterminated = false;
+          break;
+        }
         corrupt(path, line_no, e.what());
       }
       if (!header_seen) {
@@ -114,10 +126,22 @@ MemoStore::MemoStore(const std::string& path) : path_(path) {
     }
     if (in.bad()) throw std::runtime_error(path + ": read failed");
     if (!header_seen && line_no > 0) corrupt(path, 1, "missing header line");
+    in.close();
+    if (torn_at) {
+      // Appending after the fragment would fuse it with the next entry into
+      // one unparsable line in the middle of the file.
+      std::filesystem::resize_file(path, *torn_at, ec);
+      if (ec) {
+        throw std::runtime_error(path + ": cannot truncate torn line: " + ec.message());
+      }
+    }
     append_.open(path, std::ios::binary | std::ios::app);
     if (!append_) throw std::runtime_error(path + ": cannot open for appending");
     if (line_no == 0) {  // existed but empty: write the header now
       append_ << header_json().dump_compact() << '\n';
+      append_.flush();
+    } else if (unterminated) {  // complete last line, newline lost in a kill
+      append_ << '\n';
       append_.flush();
     }
   } else {

@@ -2,7 +2,7 @@
 // file keyed by the canonical config hash (config_hash.hpp). Line 1 is a
 // version header; every further line is one complete simulation result
 // (metrics + power + error string). Repeated design points — across waves,
-// across resumed runs, across entirely different suite files that reach the
+// across reruns of an interrupted search, across entirely different suite files that reach the
 // same corner — are answered from the store without simulating.
 //
 // File format (tcdm-explore-cache, version 1):
@@ -11,10 +11,12 @@
 //   ...
 //
 // Every insert is appended and flushed immediately, so a killed run loses at
-// most the entry being written; a truncated final line is tolerated on load
-// (it is the expected crash artifact) but any other malformed line, a bad
-// header, or a version mismatch throws ExploreFileError naming the path and
-// line — never a crash, never a silently wrong result.
+// most the entry being written. A torn final line is the expected crash
+// artifact: the loader drops it and truncates the file back to the last
+// complete line, so later appends start on a fresh line. Any other
+// malformed line, a bad header, or a version mismatch throws
+// ExploreFileError naming the path and line — never a crash, never a
+// silently wrong result.
 #pragma once
 
 #include <cstddef>
@@ -31,7 +33,7 @@ namespace tcdm::explore {
 inline constexpr const char* kCacheSchemaName = "tcdm-explore-cache";
 inline constexpr int kCacheSchemaVersion = 1;
 
-/// Corrupt or version-mismatched explore artifacts (cache, checkpoint).
+/// A corrupt or version-mismatched explore cache file.
 /// The CLI maps this to exit 2, like other unusable-input errors.
 class ExploreFileError : public std::runtime_error {
  public:
@@ -57,7 +59,8 @@ class MemoStore {
   MemoStore() = default;
 
   /// Backed by `path`: loads every existing entry (creating the file with
-  /// its header if absent) and appends each insert. Throws ExploreFileError
+  /// its header if absent, cutting off a torn final line) and appends each
+  /// insert. Throws ExploreFileError
   /// on corrupt or version-mismatched content, std::runtime_error on IO
   /// failures (unopenable path).
   explicit MemoStore(const std::string& path);

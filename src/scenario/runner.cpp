@@ -22,15 +22,6 @@ void ResultSet::add(ScenarioResult r) {
   ordered_.push_back(std::move(r));
 }
 
-void ResultSet::upsert(ScenarioResult r) {
-  const auto it = index_.find(r.rel);
-  if (it == index_.end()) {
-    add(std::move(r));
-  } else {
-    ordered_[it->second] = std::move(r);
-  }
-}
-
 const ScenarioResult& ResultSet::at(const std::string& rel) const {
   const ScenarioResult* r = find(rel);
   if (r == nullptr) throw std::out_of_range("no scenario result for: " + rel);

@@ -49,8 +49,6 @@ class ResultSet {
  public:
   /// Appends; throws std::invalid_argument on a duplicate relative name.
   void add(ScenarioResult r);
-  /// Appends or replaces in place (re-runs of the same scenario).
-  void upsert(ScenarioResult r);
 
   [[nodiscard]] const ScenarioResult& at(const std::string& rel) const;
   [[nodiscard]] const ScenarioResult* find(const std::string& rel) const;

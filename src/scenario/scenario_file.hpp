@@ -104,8 +104,13 @@ struct LoadedSuite {
 /// (unreadable file, malformed JSON, schema violations).
 [[nodiscard]] LoadedSuite load_suite_file(const std::string& path);
 
-/// Register a loaded suite into `reg`. Scenario factories copy the
-/// validated config/kernel specs, so registration outlives the LoadedSuite.
+/// The runnable spec named "<suite>/<rel>" for one file scenario. Its
+/// factories copy the validated config/kernel/system specs, so the spec
+/// outlives `sc`.
+[[nodiscard]] ScenarioSpec to_scenario_spec(const std::string& suite,
+                                            const FileScenario& sc);
+
+/// Register a loaded suite into `reg` (one to_scenario_spec per scenario).
 /// Throws std::invalid_argument on duplicate suite/scenario names.
 void register_loaded_suite(ScenarioRegistry& reg, const LoadedSuite& suite);
 

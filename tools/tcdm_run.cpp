@@ -14,12 +14,14 @@
 //   tcdm_run gen --seed N --count K [--out F]  emit a randomized, invariant-
 //                                              checked suite file (stdout)
 //   tcdm_run explore [-j N] [--stepping M] [--objective NAME]
-//                    [--area-cap MGE] [--budget N] [--cache F] [--state F]
-//                    [--resume] [--no-prune] [--report F] [--stats-out F]
-//                    [--fail-after N] <suite.json>
+//                    [--area-cap MGE] [--budget N] [--cache F] [--no-prune]
+//                    [--report F] [--fail-after N] <suite.json>
 //                                              memoized design-space search
 //                                              over a suite file; prints the
-//                                              Pareto frontier
+//                                              Pareto frontier; a search
+//                                              stopped by --budget or a
+//                                              crash continues when rerun
+//                                              with the same --cache
 //
 // `--file` registers a tcdm-scenarios JSON suite (repeatable) next to the
 // builtins; `--no-builtin` starts from an empty registry instead, which
@@ -32,8 +34,8 @@
 // cycle-by-cycle reference loop, or the self-verifying cross-check mode —
 // all bit-identical; see docs/ARCHITECTURE.md).
 // Exit codes: 0 ok, 1 scenario/validation failure or empty selection,
-// 2 usage/IO errors (including unknown subcommands and corrupt explore
-// cache/checkpoint files), 3 injected --fail-after abort.
+// 2 usage/IO errors (including unknown subcommands and flags, and corrupt
+// explore cache files), 3 injected --fail-after abort.
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -66,8 +68,8 @@ int usage(const char* argv0) {
       "       %s validate [file...|-]\n"
       "       %s gen [--seed N] [--count K] [--out <file>]\n"
       "       %s explore [-j N] [--stepping M] [--objective NAME] [--area-cap MGE]\n"
-      "            [--budget N] [--cache F] [--state F] [--resume] [--no-prune]\n"
-      "            [--report F] [--stats-out F] [--fail-after N] <suite.json>\n"
+      "            [--budget N] [--cache F] [--no-prune] [--report F]\n"
+      "            [--fail-after N] <suite.json>\n"
       "\n"
       "  --stepping M   time advance per cluster: event (skip quiet spans,\n"
       "                 default), cycle (reference loop), check (skip decisions\n"
@@ -484,16 +486,11 @@ int cmd_explore(const char* argv0, std::vector<std::string> args) {
   eopts.stepping = copts.stepping;
   eopts.log = &std::cerr;
   std::string report_path;
-  std::string stats_path;
   std::vector<std::string> rest;
   for (std::size_t i = 0; i < args.size(); ++i) {
     std::string value;
-    enum class Want { kObjective, kAreaCap, kBudget, kCache, kState, kReport,
-                      kStats, kFailAfter } want;
-    if (args[i] == "--resume") {
-      eopts.resume = true;
-      continue;
-    } else if (args[i] == "--no-prune") {
+    enum class Want { kObjective, kAreaCap, kBudget, kCache, kReport, kFailAfter } want;
+    if (args[i] == "--no-prune") {
       eopts.prune = false;
       continue;
     } else if (args[i] == "--objective") {
@@ -504,12 +501,8 @@ int cmd_explore(const char* argv0, std::vector<std::string> args) {
       want = Want::kBudget;
     } else if (args[i] == "--cache") {
       want = Want::kCache;
-    } else if (args[i] == "--state") {
-      want = Want::kState;
     } else if (args[i] == "--report") {
       want = Want::kReport;
-    } else if (args[i] == "--stats-out") {
-      want = Want::kStats;
     } else if (args[i] == "--fail-after") {
       want = Want::kFailAfter;
     } else if (args[i].rfind("--", 0) == 0 &&
@@ -520,11 +513,12 @@ int cmd_explore(const char* argv0, std::vector<std::string> args) {
       else if (flag == "--area-cap") want = Want::kAreaCap;
       else if (flag == "--budget") want = Want::kBudget;
       else if (flag == "--cache") want = Want::kCache;
-      else if (flag == "--state") want = Want::kState;
       else if (flag == "--report") want = Want::kReport;
-      else if (flag == "--stats-out") want = Want::kStats;
       else if (flag == "--fail-after") want = Want::kFailAfter;
-      else return usage(argv0);
+      else {
+        rest.push_back(args[i]);  // unknown flag: named below
+        continue;
+      }
     } else {
       rest.push_back(args[i]);
       continue;
@@ -560,22 +554,18 @@ int cmd_explore(const char* argv0, std::vector<std::string> args) {
         if (!parse_size(value, eopts.budget)) return usage(argv0);
         break;
       case Want::kCache: eopts.cache_path = value; break;
-      case Want::kState: eopts.state_path = value; break;
       case Want::kReport: report_path = value; break;
-      case Want::kStats: stats_path = value; break;
       case Want::kFailAfter:
         if (!parse_size(value, eopts.fail_after)) return usage(argv0);
         break;
     }
   }
+  // A lone "-" is the suite read from stdin, not a flag.
+  if (rest != std::vector<std::string>{"-"} && has_unknown_flag(rest)) return usage(argv0);
   // The search space is one suite file: either a positional path or --file
   // (but not both, and exactly one — explore does not span suites).
   for (const std::string& f : copts.files) rest.push_back(f);
   if (rest.size() != 1 || copts.no_builtin) return usage(argv0);
-  if (eopts.resume && eopts.state_path.empty()) {
-    std::fprintf(stderr, "explore: --resume requires --state\n");
-    return 2;
-  }
 
   LoadedSuite suite;
   try {
@@ -613,25 +603,19 @@ int cmd_explore(const char* argv0, std::vector<std::string> args) {
       outcome.cache_hits, outcome.simulations, outcome.failures,
       outcome.frontier.size(), outcome.budget_exhausted ? 1 : 0);
 
-  const auto write_file = [](const std::string& path, const std::string& text) {
-    std::ofstream out(path, std::ios::binary);
+  if (!report_path.empty()) {
+    std::ofstream out(report_path, std::ios::binary);
     if (!out) {
-      std::fprintf(stderr, "explore: cannot open %s for writing\n", path.c_str());
-      return false;
+      std::fprintf(stderr, "explore: cannot open %s for writing\n", report_path.c_str());
+      return 2;
     }
-    out << text;
+    out << explore::report_json(suite, eopts, outcome).dump();
     out.flush();
     if (!out.good()) {
-      std::fprintf(stderr, "explore: write to %s failed\n", path.c_str());
-      return false;
+      std::fprintf(stderr, "explore: write to %s failed\n", report_path.c_str());
+      return 2;
     }
-    return true;
-  };
-  if (!report_path.empty() &&
-      !write_file(report_path, explore::report_json(suite, eopts, outcome).dump())) {
-    return 2;
   }
-  if (!stats_path.empty() && !write_file(stats_path, outcome.stats_json)) return 2;
 
   return outcome.failures > 0 ? 1 : 0;
 }
