@@ -7,15 +7,18 @@
 
 namespace tcdm {
 
-BurstManager::BurstManager(const BurstManagerConfig& cfg, const AddressMap& map, TileId tile)
-    : cfg_(cfg),
+BurstManager::BurstManager(const BurstManagerConfig& cfg, unsigned grouping_factor,
+                           unsigned write_words_per_cycle, const AddressMap& map, TileId tile)
+    : grouping_factor_(grouping_factor),
+      write_words_per_cycle_(write_words_per_cycle),
       map_(map),
       tile_(tile),
       pending_(cfg.fifo_depth),
       wdata_(cfg.fifo_depth),
       slots_(cfg.merge_slots) {
-  assert(cfg_.grouping_factor >= 1 && cfg_.grouping_factor <= kMaxGroupingFactor);
-  assert(cfg_.merge_slots >= 1);
+  assert(grouping_factor_ >= 1 && grouping_factor_ <= kMaxGroupingFactor);
+  assert(write_words_per_cycle_ >= 1);
+  assert(cfg.merge_slots >= 1);
   free_map_.init(slots_.size());
   ready_map_.init(slots_.size());
   for (std::size_t i = 0; i < slots_.size(); ++i) free_map_.set(i);
@@ -58,7 +61,7 @@ std::int16_t BurstManager::alloc_slot() {
 void BurstManager::issue(std::vector<SpmBank>& banks) {
   // Issue the FIFO head; if it completes this cycle, continue with the next
   // burst (distinct GF-segments operate in parallel in the RTL).
-  unsigned write_budget = cfg_.write_words_per_cycle;
+  unsigned write_budget = write_words_per_cycle_;
   while (!pending_.empty()) {
     ActiveBurst& ab = pending_.front();
     const unsigned len = ab.req.len;
@@ -100,7 +103,7 @@ void BurstManager::issue(std::vector<SpmBank>& banks) {
         ab.cur_slot = slot;
         MergeSlot& ms = slots_[slot];
         const unsigned room_banks =
-            cfg_.grouping_factor - bank_in_tile % cfg_.grouping_factor;
+            grouping_factor_ - bank_in_tile % grouping_factor_;
         const unsigned seg_room = (room_banks + stride - 1) / stride;
         ms.state = SlotState::kFilling;
         free_map_.clear(static_cast<std::size_t>(slot));
@@ -176,12 +179,6 @@ TcdmResp BurstManager::take_beat(unsigned idx) {
   --used_slots_;
   beats_merged_.inc();
   return resp;
-}
-
-void BurstManager::defer_slot(unsigned idx) {
-  // Nothing to do beyond rotation: the slot stays kReady and will be
-  // revisited after the other ready slots.
-  (void)idx;
 }
 
 void BurstManager::reset() {

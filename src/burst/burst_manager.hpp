@@ -38,20 +38,22 @@ class SpmBank;
 /// Most merge slots a Burst Manager can address (BankRoute::seg is 8-bit).
 inline constexpr unsigned kMaxMergeSlots = 256;
 
+/// The manager's own buffer sizing.
 struct BurstManagerConfig {
-  unsigned grouping_factor = 4;  // words merged per response beat (GF)
-  unsigned fifo_depth = 4;       // pending burst requests held at the manager
-  unsigned merge_slots = 16;     // concurrent in-flight segment buffers (<= kMaxMergeSlots)
-  /// Store-burst extension: a write burst's payload arrives over the request
-  /// channel at req_grouping_factor words/cycle, so bank writes are issued
-  /// at the same rate. Read bursts are unaffected (the request is a single
-  /// header beat; banks respond in parallel by design).
-  unsigned write_words_per_cycle = kMaxGroupingFactor;
+  unsigned fifo_depth = 4;    // pending burst requests held at the manager
+  unsigned merge_slots = 16;  // concurrent in-flight segment buffers (<= kMaxMergeSlots)
 };
 
 class BurstManager {
  public:
-  BurstManager(const BurstManagerConfig& cfg, const AddressMap& map, TileId tile);
+  /// `grouping_factor` (GF) is the number of words merged per response
+  /// beat. `write_words_per_cycle` is the store-burst extension's request
+  /// channel width: a write burst's payload arrives at that many words per
+  /// cycle, so bank writes are issued at the same rate. Read bursts are
+  /// unaffected (the request is a single header beat; banks respond in
+  /// parallel by design).
+  BurstManager(const BurstManagerConfig& cfg, unsigned grouping_factor,
+               unsigned write_words_per_cycle, const AddressMap& map, TileId tile);
 
   void attach_stats(StatsRegistry& reg, const std::string& prefix);
 
@@ -77,13 +79,10 @@ class BurstManager {
   [[nodiscard]] TileId slot_requester(unsigned idx) const;
   /// Build the wide response beat and free the slot.
   [[nodiscard]] TcdmResp take_beat(unsigned idx);
-  /// Put a completed slot back to the end of the rotation (its response
-  /// port was busy this cycle).
-  void defer_slot(unsigned idx);
   /// Completed slots currently awaiting emission.
   [[nodiscard]] unsigned ready_count() const noexcept { return ready_map_.count(); }
   /// Advance the emission rotation by `steps` as if next_ready_slot() had
-  /// been called (and the slot deferred) that many times. Lets the tile
+  /// been called (and the slot left ready) that many times. Lets the tile
   /// collapse a provably all-blocked emission tail into one call while
   /// keeping rr_ — and hence future arbitration — bit-exact.
   void skip_rotation(unsigned steps) {
@@ -93,7 +92,6 @@ class BurstManager {
   /// O(1): live occupancy counts make this a pair of integer tests, not a
   /// slot sweep (it runs in every tile's quiescence check every cycle).
   [[nodiscard]] bool busy() const noexcept { return !pending_.empty() || used_slots_ != 0; }
-  [[nodiscard]] unsigned grouping_factor() const noexcept { return cfg_.grouping_factor; }
 
   /// Back to the just-constructed state (empty FIFO, all slots free).
   void reset();
@@ -120,7 +118,8 @@ class BurstManager {
 
   [[nodiscard]] std::int16_t alloc_slot();
 
-  BurstManagerConfig cfg_;
+  unsigned grouping_factor_;
+  unsigned write_words_per_cycle_;
   const AddressMap& map_;
   TileId tile_;
   BoundedQueue<ActiveBurst> pending_;

@@ -21,17 +21,14 @@ Cluster::Cluster(const ClusterConfig& cfg, const SimOptions& sim)
     : cfg_(cfg),
       topo_(cfg.topology()),
       map_(cfg.address_map()),
-      barrier_(make_barrier(cfg.barrier_kind, cfg.num_cores(),
-                            auto_barrier_latency(cfg, topo_), cfg.barrier_radix)),
+      barrier_(BarrierKind::kCentral, cfg.num_cores(), auto_barrier_latency(cfg, topo_)),
       watchdog_(100'000),
       stepping_(sim.stepping) {
   cfg_.validate();
-  NetworkConfig net_cfg = cfg_.net;
-  net_cfg.grouping_factor = cfg_.burst_enabled ? cfg_.grouping_factor : 1;
-  net_ = std::make_unique<HierNetwork>(topo_, net_cfg, stats_, cfg_.store_bursts);
+  net_ = std::make_unique<HierNetwork>(topo_, cfg_.net, stats_, cfg_.store_bursts);
   tiles_.reserve(cfg_.num_tiles);
   for (TileId t = 0; t < cfg_.num_tiles; ++t) {
-    tiles_.push_back(std::make_unique<Tile>(cfg_, t, *net_, map_, *barrier_, stats_));
+    tiles_.push_back(std::make_unique<Tile>(cfg_, t, *net_, map_, barrier_, stats_));
   }
   cycles_skipped_ = stats_.counter("sim.cycles_skipped");
   cycles_simulated_ = stats_.counter("sim.cycles_simulated");
@@ -97,7 +94,7 @@ void Cluster::reset() {
   watchdog_.set_window(100'000);  // ctor default; undo set_watchdog_window
   watchdog_.note_progress(0);
   stats_.reset();  // zero every slot; Counter handles remain valid
-  barrier_->reset();
+  barrier_.reset();
   net_->reset();
   for (auto& tile : tiles_) tile->reset();
   programs_.clear();
@@ -139,7 +136,7 @@ bool Cluster::step() {
   }
 
   // Phase 4 — barrier release, watchdog and halt detection.
-  barrier_->cycle(now);
+  barrier_.cycle(now);
 
   double token = 0.0;
   bool all_halted = true;
@@ -183,8 +180,8 @@ Cycle Cluster::earliest_event(SkipPlan& plan) {
   const Cycle net_wake = net_->earliest_wakeup(now);
   if (net_wake <= now) return now;
   wake = std::min(wake, net_wake);
-  if (barrier_->release_pending()) {
-    const Cycle release = barrier_->release_at();
+  if (barrier_.release_pending()) {
+    const Cycle release = barrier_.release_at();
     if (release <= now) return now;
     wake = std::min(wake, release);
   }

@@ -174,7 +174,7 @@ class Cluster final : public RspSink {
   [[nodiscard]] unsigned num_tiles() const noexcept {
     return static_cast<unsigned>(tiles_.size());
   }
-  [[nodiscard]] Barrier& barrier() noexcept { return *barrier_; }
+  [[nodiscard]] Barrier& barrier() noexcept { return barrier_; }
   [[nodiscard]] HierNetwork& network() noexcept { return *net_; }
 
   // ---- aggregate metrics (over the whole run so far) ----
@@ -204,7 +204,7 @@ class Cluster final : public RspSink {
   Topology topo_;
   AddressMap map_;
   StatsRegistry stats_;
-  std::unique_ptr<Barrier> barrier_;
+  Barrier barrier_;
   std::unique_ptr<HierNetwork> net_;
   std::vector<std::unique_ptr<Tile>> tiles_;
   std::vector<Program> programs_;

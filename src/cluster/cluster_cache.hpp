@@ -1,14 +1,14 @@
 // ClusterCache: a small LRU of constructed Cluster instances, keyed by the
 // full configuration plus the host SimOptions. Building a cluster allocates
-// every tile, bank, queue and worker thread; sweeps and design-space
-// exploration run thousands of scenarios over a handful of config shapes, so
-// reusing one cluster per shape through Cluster::reset() removes that
-// construction cost from the per-scenario path (docs/ARCHITECTURE.md, P2:
-// a reset cluster is bit-identical to a freshly constructed one).
+// every tile, bank and queue; sweeps and design-space exploration run
+// thousands of scenarios over a handful of config shapes, so reusing one
+// cluster per shape through Cluster::reset() removes that construction cost
+// from the per-scenario path (docs/ARCHITECTURE.md, P2: a reset cluster is
+// bit-identical to a freshly constructed one).
 //
-// Not thread-safe: use one cache per sweep worker thread. The capacity
-// default (4) covers the alternating config shapes of the paper-table
-// suites; eviction is strict LRU.
+// Not thread-safe: use one cache per sweep worker. The capacity default (4)
+// covers the alternating config shapes of the paper-table suites; eviction
+// is strict LRU.
 #pragma once
 
 #include <algorithm>

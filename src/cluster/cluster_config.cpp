@@ -72,9 +72,6 @@ void ClusterConfig::validate() const {
   if (!is_pow2(num_tiles) || !is_pow2(banks_per_tile)) {
     throw std::invalid_argument(name + ": tile/bank counts must be powers of two");
   }
-  if (barrier_radix < 2) {
-    throw std::invalid_argument(name + ": barrier_radix must be >= 2");
-  }
   // A zero-depth queue never accepts an entry: the run would only end at the
   // watchdog's deadlock report, naming no parameter.
   const std::pair<const char*, unsigned> depths[] = {
@@ -157,8 +154,6 @@ ClusterConfig ClusterConfig::with_burst(unsigned gf) const {
   ClusterConfig c = *this;
   c.burst_enabled = true;
   c.grouping_factor = gf;
-  c.net.grouping_factor = gf;
-  c.bm.grouping_factor = gf;
   c.rob_depth = rob_depth * 2;  // paper §III-A: ROB depth doubled
   c.name = name + "-gf" + std::to_string(gf);
   return c;
@@ -236,9 +231,7 @@ SnitchConfig snitch_from_json(const Json& v, const std::string& path) {
 NetworkConfig net_from_json(const Json& v, NetworkConfig n, const std::string& path) {
   for (const auto& [key, val] : json_obj(v, path)) {
     const std::string p = path + "/" + key;
-    if (key == "grouping_factor") {
-      n.grouping_factor = json_uint(val, p);
-    } else if (key == "req_grouping_factor") {
+    if (key == "req_grouping_factor") {
       n.req_grouping_factor = json_uint(val, p);
     } else if (key == "master_extra_slots") {
       n.master_extra_slots = json_uint(val, p);
@@ -255,14 +248,10 @@ BurstManagerConfig bm_from_json(const Json& v, BurstManagerConfig b,
                                 const std::string& path) {
   for (const auto& [key, val] : json_obj(v, path)) {
     const std::string p = path + "/" + key;
-    if (key == "grouping_factor") {
-      b.grouping_factor = json_uint(val, p);
-    } else if (key == "fifo_depth") {
+    if (key == "fifo_depth") {
       b.fifo_depth = json_uint(val, p);
     } else if (key == "merge_slots") {
       b.merge_slots = json_uint(val, p);
-    } else if (key == "write_words_per_cycle") {
-      b.write_words_per_cycle = json_uint(val, p);
     } else {
       cfg_error(p, "unknown key");
     }
@@ -298,7 +287,6 @@ Json ClusterConfig::to_json() const {
   j.set("bank_in_depth", bank_in_depth);
   j.set("bank_out_depth", bank_out_depth);
   Json nt;
-  nt.set("grouping_factor", net.grouping_factor);
   nt.set("req_grouping_factor", net.req_grouping_factor);
   nt.set("master_extra_slots", net.master_extra_slots);
   nt.set("slave_depth", net.slave_depth);
@@ -309,18 +297,10 @@ Json ClusterConfig::to_json() const {
   j.set("strided_bursts", strided_bursts);
   j.set("store_bursts", store_bursts);
   Json b;
-  b.set("grouping_factor", bm.grouping_factor);
   b.set("fifo_depth", bm.fifo_depth);
   b.set("merge_slots", bm.merge_slots);
-  b.set("write_words_per_cycle", bm.write_words_per_cycle);
   j.set("bm", std::move(b));
   j.set("barrier_release_latency", barrier_release_latency);
-  // Emitted only off-default: pre-existing configs keep their byte-exact
-  // serialization (ClusterCache keys, explore config hashes, baselines).
-  if (barrier_kind != BarrierKind::kCentral) {
-    j.set("barrier_kind", std::string(barrier_kind_name(barrier_kind)));
-  }
-  if (barrier_radix != 2) j.set("barrier_radix", barrier_radix);
   j.set("start_stagger_cycles", start_stagger_cycles);
   j.set("freq_ss_mhz", freq_ss_mhz);
   j.set("freq_tt_mhz", freq_tt_mhz);
@@ -343,25 +323,15 @@ ClusterConfig ClusterConfig::from_json(const Json& j, const std::string& path) {
   }
 
   // The burst sugar block reruns the with_burst transforms, so combining it
-  // with the resolved burst fields would apply the extension twice — and it
-  // overwrites the net/bm grouping factors, so an explicitly spelled value
-  // there must be rejected rather than silently clobbered. (rob_depth stays
-  // combinable on purpose: the block doubles the swept pre-burst depth,
-  // exactly like the C++ with_burst call.)
+  // with the resolved burst fields would apply the extension twice.
+  // (rob_depth stays combinable on purpose: the block doubles the swept
+  // pre-burst depth, exactly like the C++ with_burst call.)
   if (j.contains("burst")) {
     for (const char* direct : {"burst_enabled", "grouping_factor", "max_burst_len",
                                "strided_bursts", "store_bursts"}) {
       if (j.contains(direct)) {
         cfg_error(path + "/" + direct,
                   "cannot combine the \"burst\" block with resolved burst fields");
-      }
-    }
-    for (const char* nested : {"net", "bm"}) {
-      if (j.contains(nested) && j.at(nested).is_object() &&
-          j.at(nested).contains("grouping_factor")) {
-        cfg_error(path + "/" + nested + "/grouping_factor",
-                  "cannot combine the \"burst\" block with an explicit "
-                  "grouping factor (the block sets it from \"gf\")");
       }
     }
   }
@@ -434,14 +404,6 @@ ClusterConfig ClusterConfig::from_json(const Json& j, const std::string& path) {
       cfg.bm = bm_from_json(val, cfg.bm, p);
     } else if (key == "barrier_release_latency") {
       cfg.barrier_release_latency = json_uint(val, p);
-    } else if (key == "barrier_kind") {
-      try {
-        cfg.barrier_kind = barrier_kind_from_name(json_str(val, p));
-      } catch (const std::invalid_argument& e) {
-        cfg_error(p, e.what());
-      }
-    } else if (key == "barrier_radix") {
-      cfg.barrier_radix = json_uint(val, p);
     } else if (key == "start_stagger_cycles") {
       cfg.start_stagger_cycles = json_uint(val, p);
     } else if (key == "freq_ss_mhz") {

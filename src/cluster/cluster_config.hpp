@@ -2,6 +2,9 @@
 // instance, plus the three preset scales evaluated in the paper and the
 // `with_burst(GF)` transform that applies the TCDM Burst extension
 // (burst-enabled Sender, GF-wide response channel, doubled ROBs — §III).
+// Each of its 31 settable values (the keys of to_json, counting the
+// snitch/net/bm entries one by one) is read by the simulator; none is
+// derived from another or overwritten when the cluster is built.
 #pragma once
 
 #include <string>
@@ -9,7 +12,6 @@
 
 #include "src/burst/burst_manager.hpp"
 #include "src/burst/burst_sender.hpp"
-#include "src/cluster/barrier.hpp"
 #include "src/common/json.hpp"
 #include "src/interconnect/network.hpp"
 #include "src/interconnect/topology.hpp"
@@ -57,11 +59,9 @@ struct ClusterConfig {
   BurstManagerConfig bm{};
 
   // ---- synchronization ----
+  /// Release latency of the cluster's central barrier
+  /// (src/cluster/barrier.hpp).
   unsigned barrier_release_latency = 0;  // 0 -> auto: topology worst round-trip
-  /// Barrier implementation (src/cluster/barrier.hpp). For tree/butterfly,
-  /// barrier_release_latency (or its auto default) is the per-link latency.
-  BarrierKind barrier_kind = BarrierKind::kCentral;
-  unsigned barrier_radix = 2;  // tree barrier reduction radix (>= 2)
   /// Per-hart start skew in cycles, modeling MemPool's sequential wake-up
   /// loop (core 0 pokes each core's wake-up register in turn). Decorrelates
   /// the harts' memory sweeps, as in the RTL.

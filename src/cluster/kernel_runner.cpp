@@ -1,8 +1,19 @@
 #include "src/cluster/kernel_runner.hpp"
 
-#include "src/cluster/cluster_cache.hpp"
-
 namespace tcdm {
+
+void derive_rates(KernelMetrics& m, const ClusterConfig& cfg) {
+  if (m.cycles > 0) {
+    const double cycles = static_cast<double>(m.cycles);
+    m.flops_per_cycle = m.flops / cycles;
+    m.fpu_util = m.flops_per_cycle / (m.clusters * cfg.peak_flops_per_cycle());
+    m.gflops_ss = m.flops_per_cycle * cfg.freq_ss_mhz / 1000.0;
+    m.gflops_tt = m.flops_per_cycle * cfg.freq_tt_mhz / 1000.0;
+    m.bw_bytes_per_cycle = (m.bytes + m.noc_bytes) / cycles;
+    m.bw_per_core = m.bw_bytes_per_cycle / (m.clusters * cfg.num_cores());
+  }
+  if (m.bytes > 0) m.arithmetic_intensity = m.flops / m.bytes;
+}
 
 KernelMetrics run_kernel_on(Cluster& cluster, Kernel& kernel, const RunnerOptions& opts) {
   const ClusterConfig& cfg = cluster.config();
@@ -19,27 +30,13 @@ KernelMetrics run_kernel_on(Cluster& cluster, Kernel& kernel, const RunnerOption
   m.timed_out = !out.all_halted;
   m.flops = cluster.total_flops();
   m.bytes = kernel.traffic_bytes(cluster);
-  if (out.cycles > 0) {
-    m.flops_per_cycle = m.flops / static_cast<double>(out.cycles);
-    m.fpu_util = m.flops_per_cycle / cfg.peak_flops_per_cycle();
-    m.gflops_ss = m.flops_per_cycle * cfg.freq_ss_mhz / 1000.0;
-    m.gflops_tt = m.flops_per_cycle * cfg.freq_tt_mhz / 1000.0;
-    m.bw_bytes_per_cycle = m.bytes / static_cast<double>(out.cycles);
-    m.bw_per_core = m.bw_bytes_per_cycle / cfg.num_cores();
-  }
-  if (m.bytes > 0) m.arithmetic_intensity = m.flops / m.bytes;
+  derive_rates(m, cfg);
   m.verified = opts.verify ? kernel.verify(cluster) : true;
   return m;
 }
 
 KernelMetrics run_kernel(const ClusterConfig& cfg, Kernel& kernel, const RunnerOptions& opts) {
   Cluster cluster(cfg, opts.sim);
-  return run_kernel_on(cluster, kernel, opts);
-}
-
-KernelMetrics run_kernel(const ClusterConfig& cfg, Kernel& kernel, const RunnerOptions& opts,
-                         ClusterCache& cache) {
-  Cluster& cluster = cache.acquire(cfg, opts.sim);
   return run_kernel_on(cluster, kernel, opts);
 }
 

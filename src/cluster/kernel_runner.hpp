@@ -53,17 +53,15 @@ struct RunnerOptions {
 [[nodiscard]] KernelMetrics run_kernel(const ClusterConfig& cfg, Kernel& kernel,
                                        const RunnerOptions& opts = {});
 
-class ClusterCache;
-
-/// Run `kernel` on a cluster drawn from `cache` (constructed on first use
-/// per config shape, Cluster::reset() thereafter — bit-identical to a fresh
-/// cluster, see docs/ARCHITECTURE.md P2, minus the construction cost).
-[[nodiscard]] KernelMetrics run_kernel(const ClusterConfig& cfg, Kernel& kernel,
-                                       const RunnerOptions& opts, ClusterCache& cache);
-
 /// Run `kernel` on an existing cluster (already constructed; the runner
 /// calls setup/run/verify). Useful when the caller wants to inspect stats.
 [[nodiscard]] KernelMetrics run_kernel_on(Cluster& cluster, Kernel& kernel,
                                           const RunnerOptions& opts = {});
+
+/// Derive the rate fields (flops_per_cycle, fpu_util, gflops_*, bw_* and
+/// arithmetic_intensity) from m.cycles, m.flops, m.bytes, m.noc_bytes and
+/// m.clusters, for `m.clusters` clusters of shape `cfg`: utilization and
+/// per-core bandwidth are measured against all of them.
+void derive_rates(KernelMetrics& m, const ClusterConfig& cfg);
 
 }  // namespace tcdm

@@ -5,18 +5,14 @@
 
 namespace tcdm {
 
-namespace {
-BurstManagerConfig bm_config(const ClusterConfig& cfg) {
-  BurstManagerConfig bm = cfg.bm;
-  bm.grouping_factor = cfg.burst_enabled ? cfg.grouping_factor : 1;
-  if (cfg.store_bursts) bm.write_words_per_cycle = cfg.net.req_grouping_factor;
-  return bm;
-}
-}  // namespace
-
 Tile::Tile(const ClusterConfig& cfg, TileId id, HierNetwork& net, const AddressMap& map,
            Barrier& barrier, StatsRegistry& stats)
-    : id_(id), net_(net), map_(map), bm_(bm_config(cfg), map, id) {
+    : id_(id),
+      net_(net),
+      map_(map),
+      // validate() pins GF to 1 without bursts, and only store bursts (where
+      // req_grouping_factor is the request-channel width) send write bursts.
+      bm_(cfg.bm, cfg.grouping_factor, cfg.net.req_grouping_factor, map, id) {
   banks_.reserve(cfg.banks_per_tile);
   const std::string prefix = "tile" + std::to_string(id);
   for (unsigned b = 0; b < cfg.banks_per_tile; ++b) {
@@ -127,7 +123,7 @@ void Tile::emit_burst_beats(Cycle now) {
       net_.send_rsp(id_, bm_.take_beat(*slot), now);
       consecutive_defers = 0;
     } else {
-      bm_.defer_slot(*slot);  // its class port is busy; other classes go on
+      // Its class port is busy; the slot stays ready and other classes go on.
       // A class blocked at cycle `now` stays blocked for the rest of this
       // call (sends only push free_at further out), and the ready set only
       // shrinks on sends — so a full no-send pass over the ready slots

@@ -38,14 +38,8 @@ Json canonical_point_json(const scenario::FileScenario& point) {
   Json doc;
   doc.set("config", point.config.to_json());
   doc.set("kernel", point.kernel.to_json());
-  Json opts = scenario::runner_options_to_json(point.opts);
-  // The options document once carried a thread count, canonicalized to 0.
-  // Keeping the literal keeps every existing memo store's keys valid.
-  opts.set("sim_threads", 0);
-  doc.set("options", std::move(opts));
+  doc.set("options", scenario::runner_options_to_json(point.opts));
   doc.set("expect_verified", point.expect_verified);
-  // Only when present: cluster-only points keep their pre-system-layer
-  // canonical spelling, so existing explore caches stay valid.
   if (point.system) doc.set("system", point.system->to_json());
   return doc;
 }

@@ -8,7 +8,6 @@ namespace tcdm {
 HierNetwork::HierNetwork(const Topology& topo, const NetworkConfig& cfg, StatsRegistry& stats,
                          bool write_bursts)
     : topo_(topo), cfg_(cfg), num_classes_(topo.num_classes()), num_tiles_(topo.num_tiles()) {
-  assert(cfg_.grouping_factor >= 1 && cfg_.grouping_factor <= kMaxGroupingFactor);
   const std::size_t ports = static_cast<std::size_t>(num_tiles_) * num_classes_;
 
   req_master_.reserve(ports);

@@ -45,8 +45,6 @@
 namespace tcdm {
 
 struct NetworkConfig {
-  /// Response-channel grouping factor: words per response beat (paper's GF).
-  unsigned grouping_factor = 1;
   /// Request-channel data width in words (store-burst extension). A write
   /// burst of L words occupies its master port for ceil(L / this) cycles —
   /// with the default of 1 a store burst saves nothing over narrow stores,
@@ -76,7 +74,6 @@ class HierNetwork {
               bool write_bursts = false);
 
   [[nodiscard]] const Topology& topology() const noexcept { return topo_; }
-  [[nodiscard]] unsigned grouping_factor() const noexcept { return cfg_.grouping_factor; }
 
   // ---- request ingress (cores stage; at most one per (src, class) per cycle) ----
   // One request per (tile, class) master port per cycle. A K-element

@@ -17,12 +17,20 @@ void fnv_word(std::uint64_t& h, Word w) {
   }
 }
 
+const SystemConfig& validated(const SystemConfig& sys) {
+  sys.validate();
+  return sys;
+}
+
 }  // namespace
 
 System::System(const SystemConfig& sys, const ClusterConfig& cluster_cfg,
                const SimOptions& sim)
-    : cfg_(sys), stepping_(sim.stepping), watchdog_(100'000) {
-  cfg_.validate();
+    : cfg_(validated(sys)),
+      stepping_(sim.stepping),
+      global_barrier_(cfg_.barrier_kind, cfg_.num_clusters, cfg_.barrier_link_latency,
+                      cfg_.barrier_radix),
+      watchdog_(100'000) {
   const unsigned tcdm_words = cluster_cfg.num_banks() * cluster_cfg.bank_words;
   if (cfg_.dma_words > tcdm_words) {
     throw std::invalid_argument(
@@ -36,26 +44,9 @@ System::System(const SystemConfig& sys, const ClusterConfig& cluster_cfg,
   for (unsigned c = 0; c < cfg_.num_clusters; ++c) {
     clusters_.push_back(std::make_unique<Cluster>(cluster_cfg, sim));
   }
-  global_barrier_ = make_barrier(cfg_.barrier_kind, cfg_.num_clusters,
-                                 cfg_.barrier_link_latency, cfg_.barrier_radix);
   dma_.resize(cfg_.num_clusters);
   kernel_arrived_.assign(cfg_.num_clusters, 0);
   cluster_event_.assign(cfg_.num_clusters, 0);
-}
-
-void System::reset() {
-  for (auto& c : clusters_) c->reset();
-  global_barrier_->reset();
-  std::fill(dma_.begin(), dma_.end(), DmaEngine{});
-  std::fill(kernel_arrived_.begin(), kernel_arrived_.end(), char{0});
-  std::fill(cluster_event_.begin(), cluster_event_.end(), Cycle{0});
-  dma_started_ = false;
-  done_ = false;
-  words_delivered_ = 0;
-  now_ = 0;
-  watchdog_.set_window(100'000);  // ctor default; undo set_watchdog_window
-  watchdog_.note_progress(0);
-  last_progress_token_ = -1.0;
 }
 
 void System::set_watchdog_window(Cycle window) {
@@ -70,7 +61,7 @@ void System::start_dma(Cycle now) {
     DmaEngine& d = dma_[c];
     if (cfg_.dma_words == 0) {
       d.state = DmaEngine::State::kDone;
-      global_barrier_->arrive(c, now);
+      global_barrier_.arrive(c, now);
       continue;
     }
     // Golden checksum of the source range, read up front: the source
@@ -113,7 +104,7 @@ void System::dma_cycle(Cycle now) {
     }
     if (d.words_done == cfg_.dma_words) {
       d.state = DmaEngine::State::kDone;
-      global_barrier_->arrive(c, now);
+      global_barrier_.arrive(c, now);
     } else if (d.words_done % cfg_.dma_burst_len == 0) {
       d.state = DmaEngine::State::kHeader;
       d.header_done_at = now + cfg_.burst_header_latency();
@@ -150,7 +141,7 @@ bool System::step() {
   const unsigned n = num_clusters();
   for (unsigned c = 0; c < n; ++c) {
     if (!kernel_arrived_[c] && clusters_[c]->all_halted()) {
-      global_barrier_->arrive(c, now);
+      global_barrier_.arrive(c, now);
       kernel_arrived_[c] = 1;
     }
   }
@@ -159,9 +150,9 @@ bool System::step() {
   dma_cycle(now);
 
   // Phase 4 — global barrier release, run-phase transitions, watchdog.
-  global_barrier_->cycle(now);
-  if (!dma_started_ && global_barrier_->generation() == 1) start_dma(now);
-  if (global_barrier_->generation() >= 2) done_ = true;
+  global_barrier_.cycle(now);
+  if (!dma_started_ && global_barrier_.generation() == 1) start_dma(now);
+  if (global_barrier_.generation() >= 2) done_ = true;
 
   // The system watchdog guards the sync/DMA machinery once every cluster
   // halted (halted clusters stop checking their own); while any cluster
@@ -174,8 +165,8 @@ bool System::step() {
     }
   }
   const double token = static_cast<double>(words_delivered_) +
-                       1048576.0 * global_barrier_->generation() +
-                       1024.0 * global_barrier_->arrived();
+                       1048576.0 * global_barrier_.generation() +
+                       1024.0 * global_barrier_.arrived();
   if (any_running || token != last_progress_token_) {
     last_progress_token_ = token;
     watchdog_.note_progress(now);
@@ -221,8 +212,8 @@ RunOutcome System::run(Cycle max_cycles) {
       cluster_event_[c] = clusters_[c]->next_event();
       event = std::min(event, cluster_event_[c]);
     }
-    if (global_barrier_->release_pending()) {
-      event = std::min(event, global_barrier_->release_at());
+    if (global_barrier_.release_pending()) {
+      event = std::min(event, global_barrier_.release_at());
     }
     if (event <= now) continue;
     Cycle jump = std::min(std::min(event, watchdog_.deadline()), budget_end);

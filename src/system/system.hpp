@@ -49,15 +49,9 @@ class System {
   }
   [[nodiscard]] Cluster& cluster(unsigned i) { return *clusters_.at(i); }
   [[nodiscard]] const Cluster& cluster(unsigned i) const { return *clusters_.at(i); }
-  [[nodiscard]] Barrier& global_barrier() noexcept { return *global_barrier_; }
+  [[nodiscard]] Barrier& global_barrier() noexcept { return global_barrier_; }
   [[nodiscard]] Cycle now() const noexcept { return now_; }
   [[nodiscard]] SteppingMode stepping() const noexcept { return stepping_; }
-
-  /// Back to the just-constructed state without reallocating anything:
-  /// every cluster reset (P2), global barrier at generation 0, DMA engines
-  /// idle, clock at 0. A reset + reload run is bit-identical to one on a
-  /// freshly constructed System (docs/ARCHITECTURE.md, P2).
-  void reset();
 
   /// Run to completion (kernel + DMA phases synchronized out) or
   /// `max_cycles`; throws DeadlockError when a cluster or the system-level
@@ -105,15 +99,11 @@ class System {
   void dma_cycle(Cycle now);
   [[nodiscard]] Cycle dma_next_event() const;
   [[nodiscard]] bool dma_streaming() const;
-  void note_word(DmaEngine& d, Word w) {
-    d.checksum ^= w;
-    d.checksum *= 1099511628211ULL;
-  }
 
   SystemConfig cfg_;
   SteppingMode stepping_ = SteppingMode::kEventDriven;
   std::vector<std::unique_ptr<Cluster>> clusters_;
-  std::unique_ptr<Barrier> global_barrier_;
+  Barrier global_barrier_;
   std::vector<DmaEngine> dma_;
   std::vector<char> kernel_arrived_;  // per cluster (vector<bool> is a bitfield)
   std::vector<Cycle> cluster_event_;  // per-skip-decision scratch

@@ -29,15 +29,7 @@ KernelMetrics run_system_kernel(System& system,
     m.bytes += kernels[c]->traffic_bytes(system.cluster(c));
   }
   m.noc_bytes = system.noc_bytes_transferred();
-  if (out.cycles > 0) {
-    m.flops_per_cycle = m.flops / static_cast<double>(out.cycles);
-    m.fpu_util = m.flops_per_cycle / (n * cfg.peak_flops_per_cycle());
-    m.gflops_ss = m.flops_per_cycle * cfg.freq_ss_mhz / 1000.0;
-    m.gflops_tt = m.flops_per_cycle * cfg.freq_tt_mhz / 1000.0;
-    m.bw_bytes_per_cycle = (m.bytes + m.noc_bytes) / static_cast<double>(out.cycles);
-    m.bw_per_core = m.bw_bytes_per_cycle / (n * cfg.num_cores());
-  }
-  if (m.bytes > 0) m.arithmetic_intensity = m.flops / m.bytes;
+  derive_rates(m, cfg);
   if (opts.verify) {
     bool ok = system.dma_checksums_ok();
     for (unsigned c = 0; c < n; ++c) {

@@ -19,7 +19,7 @@ class BurstManagerTest : public ::testing::Test {
  protected:
   BurstManagerTest()
       : map_(test::small_address_map()),
-        bm_(BurstManagerConfig{4, 4, 8}, map_, 1),
+        bm_(BurstManagerConfig{4, 8}, 4, kMaxGroupingFactor, map_, 1),
         banks_(test::patterned_banks()) {}
 
   /// Byte address of (bank-in-tile, row) for tile 1.
@@ -61,7 +61,7 @@ TEST_F(BurstManagerTest, SplitsBurstAcrossBanksAndMergesOneBeat) {
 }
 
 TEST_F(BurstManagerTest, Gf2ProducesTwoBeats) {
-  BurstManager bm2(BurstManagerConfig{2, 4, 8}, map_, 1);
+  BurstManager bm2(BurstManagerConfig{4, 8}, 2, kMaxGroupingFactor, map_, 1);
   TcdmReq req;
   req.addr = addr_of(0, 9);
   req.len = 4;
@@ -88,7 +88,7 @@ TEST_F(BurstManagerTest, Gf2ProducesTwoBeats) {
 
 TEST_F(BurstManagerTest, UnalignedBurstSpansSegments) {
   // Burst of 3 starting at bank 1 with GF2: segments [1], [2,3].
-  BurstManager bm2(BurstManagerConfig{2, 4, 8}, map_, 1);
+  BurstManager bm2(BurstManagerConfig{4, 8}, 2, kMaxGroupingFactor, map_, 1);
   TcdmReq req;
   req.addr = addr_of(1, 0);
   req.len = 3;

@@ -165,7 +165,7 @@ class StridedManagerTest : public ::testing::Test {
 };
 
 TEST_F(StridedManagerTest, Gf4MergesStride2PairsIntoOneBeat) {
-  BurstManager bm(BurstManagerConfig{4, 4, 8}, map_, 1);
+  BurstManager bm(BurstManagerConfig{4, 8}, 4, kMaxGroupingFactor, map_, 1);
   TcdmReq req;
   req.addr = addr_of(0, 5);
   req.len = 2;
@@ -190,7 +190,7 @@ TEST_F(StridedManagerTest, Gf4MergesStride2PairsIntoOneBeat) {
 }
 
 TEST_F(StridedManagerTest, Gf2DegradesStride2ToOneWordBeats) {
-  BurstManager bm(BurstManagerConfig{2, 4, 8}, map_, 1);
+  BurstManager bm(BurstManagerConfig{4, 8}, 2, kMaxGroupingFactor, map_, 1);
   TcdmReq req;
   req.addr = addr_of(0, 3);
   req.len = 2;
@@ -216,7 +216,7 @@ TEST_F(StridedManagerTest, WriteBurstFansOutAndWritesBanks) {
   StatsRegistry stats;
   Topology topo({1, 4}, {{1, 1}, {1, 1}});
   HierNetwork net(topo, NetworkConfig{}, stats, /*write_bursts=*/true);
-  BurstManager bm(BurstManagerConfig{4, 4, 8}, map_, 1);
+  BurstManager bm(BurstManagerConfig{4, 8}, 4, kMaxGroupingFactor, map_, 1);
   TcdmReq req;
   req.addr = addr_of(0, 7);
   req.len = 4;
@@ -266,7 +266,7 @@ TEST_F(StridedManagerTest, WriteBurstPayloadSurvivesNetworkHop) {
   ASSERT_TRUE(req.write);
   ASSERT_EQ(req.len, 4u);
 
-  BurstManager bm(BurstManagerConfig{4, 4, 8}, map_, 1);
+  BurstManager bm(BurstManagerConfig{4, 8}, 4, kMaxGroupingFactor, map_, 1);
   ASSERT_TRUE(bm.try_accept(req, net.payload(req.payload)));
   net.release_payload(req.payload);
   net.slave_pop(1, cls);

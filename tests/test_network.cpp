@@ -195,7 +195,7 @@ TEST_F(NetworkTest, StoreAcksDoNotConsumeResponseBeats) {
 
 TEST_F(NetworkTest, WideBeatCarriesGroupedWords) {
   StatsRegistry stats2;
-  HierNetwork wide(topo_, NetworkConfig{.grouping_factor = 4}, stats2);
+  HierNetwork wide(topo_, NetworkConfig{}, stats2);
   TcdmResp beat;
   beat.dst_tile = 3;
   beat.num_words = 4;

@@ -93,25 +93,6 @@ TEST(ClusterConfigJson, BurstBlockConflictsWithResolvedFields) {
   EXPECT_THROW((void)ClusterConfig::from_json(j), std::invalid_argument);
 }
 
-TEST(ClusterConfigJson, BurstBlockRejectsExplicitNetOrBmGroupingFactor) {
-  Json j;
-  j.set("preset", "mp4spatz4");
-  Json net;
-  net.set("grouping_factor", 2);
-  j.set("net", std::move(net));
-  Json burst;
-  burst.set("gf", 4);
-  j.set("burst", std::move(burst));
-  try {
-    (void)ClusterConfig::from_json(j, "cfg");
-    FAIL() << "expected std::invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("cfg/net/grouping_factor"),
-              std::string::npos)
-        << e.what();
-  }
-}
-
 TEST(ClusterConfigJson, BadTypeIsRejectedWithPath) {
   Json j;
   j.set("num_tiles", "four");
@@ -387,28 +368,47 @@ TEST(ScenarioFile, OverDeepNestingIsRefusedAsUnreadableNamingThePath) {
   }
 }
 
-TEST(ScenarioFile, RemovedThreadKeysAreRejectedWithTheirPath) {
-  // The thread-count keys of the removed tile-parallel and cluster-sharding
-  // layers now take the ordinary unknown-key path: a suite that still sets
-  // one fails to load, naming the key's full path.
+TEST(ScenarioFile, RemovedKeysAreRejectedWithTheirPath) {
+  // Removed keys take the ordinary unknown-key path: a suite that still sets
+  // one fails to load, naming the key's full path. They are the thread-count
+  // keys of the removed tile-parallel and cluster-sharding layers, the net/bm
+  // copies of the grouping factor and the Burst Manager write rate (derived
+  // from grouping_factor and net.req_grouping_factor), and the cluster-level
+  // barrier kind (a cluster's barrier is always central) — also next to the
+  // burst sugar block, which sets the grouping factor itself.
   const struct {
-    const char* block;
+    const char* config;
+    const char* block;  // further scenario keys, after the kernel
     const char* expected;
   } cases[] = {
-      {R"("options": {"sim_threads": 4})", "scenarios[0]/options/sim_threads"},
-      {R"("options": {"shard_threads": 4})", "scenarios[0]/options/shard_threads"},
-      {R"("system": {"name": "s", "num_clusters": 2, "shard_threads": 4})",
+      {R"({"preset": "mp4spatz4"})", R"(, "options": {"sim_threads": 4})",
+       "scenarios[0]/options/sim_threads"},
+      {R"({"preset": "mp4spatz4"})", R"(, "options": {"shard_threads": 4})",
+       "scenarios[0]/options/shard_threads"},
+      {R"({"preset": "mp4spatz4"})",
+       R"(, "system": {"name": "s", "num_clusters": 2, "shard_threads": 4})",
        "scenarios[0]/system/shard_threads"},
+      {R"({"preset": "mp4spatz4", "net": {"grouping_factor": 1}})", "",
+       "scenarios[0]/config/net/grouping_factor"},
+      {R"({"preset": "mp4spatz4", "bm": {"grouping_factor": 1}})", "",
+       "scenarios[0]/config/bm/grouping_factor"},
+      {R"({"preset": "mp4spatz4", "bm": {"write_words_per_cycle": 1}})", "",
+       "scenarios[0]/config/bm/write_words_per_cycle"},
+      {R"({"preset": "mp4spatz4", "barrier_kind": "tree"})", "",
+       "scenarios[0]/config/barrier_kind"},
+      {R"({"preset": "mp4spatz4", "barrier_radix": 4})", "",
+       "scenarios[0]/config/barrier_radix"},
+      {R"({"preset": "mp4spatz4", "net": {"grouping_factor": 2}, "burst": {"gf": 4}})", "",
+       "scenarios[0]/config/net/grouping_factor"},
   };
   for (const auto& c : cases) {
     const std::string text =
         std::string(R"({"schema": "tcdm-scenarios", "schema_version": 1, "suite": "x",
-           "scenarios": [{"name": "a", "config": {"preset": "mp4spatz4"},
-                          "kernel": {"kind": "dotp", "n": 64}, )") +
-        c.block + "}]}";
+           "scenarios": [{"name": "a", "config": )") +
+        c.config + R"(, "kernel": {"kind": "dotp", "n": 64})" + c.block + "}]}";
     try {
       (void)parse_suite(parse_text(text), "doc.json");
-      FAIL() << "expected ScenarioFileError for: " << c.block;
+      FAIL() << "expected ScenarioFileError for: " << c.expected;
     } catch (const ScenarioFileError& e) {
       const std::string msg = e.what();
       EXPECT_NE(msg.find(c.expected), std::string::npos) << msg;
