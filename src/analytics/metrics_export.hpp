@@ -27,6 +27,48 @@
 #include "src/analytics/power_model.hpp"
 #include "src/cluster/kernel_runner.hpp"
 #include "src/common/json.hpp"
+#include "src/common/json_fields.hpp"
+
+namespace tcdm {
+
+/// Field lists of a complete simulation result (json_fields.hpp). The
+/// system dimension is written off-default only, so cluster-run documents
+/// stay byte-identical to those written before the system layer existed.
+template <class V>
+void json_fields(V& v, KernelMetrics& m) {
+  v("config", m.config, Key::kRequired);
+  v("kernel", m.kernel, Key::kRequired);
+  v("size", m.size, Key::kRequired);
+  v("cycles", m.cycles, Key::kRequired);
+  v("flops", m.flops, Key::kRequired);
+  v("bytes", m.bytes, Key::kRequired);
+  v("fpu_util", m.fpu_util, Key::kRequired);
+  v("flops_per_cycle", m.flops_per_cycle, Key::kRequired);
+  v("gflops_ss", m.gflops_ss, Key::kRequired);
+  v("gflops_tt", m.gflops_tt, Key::kRequired);
+  v("bw_bytes_per_cycle", m.bw_bytes_per_cycle, Key::kRequired);
+  v("bw_per_core", m.bw_per_core, Key::kRequired);
+  v("arithmetic_intensity", m.arithmetic_intensity, Key::kRequired);
+  v("verified", m.verified, Key::kRequired);
+  v("timed_out", m.timed_out, Key::kRequired);
+  v.omit_at("clusters", m.clusters, 1u);
+  v.omit_at("noc_bytes", m.noc_bytes, 0.0);
+}
+
+template <class V>
+void json_fields(V& v, PowerBreakdown& p) {
+  v("config", p.config, Key::kRequired);
+  v("fpu_w", p.fpu_w, Key::kRequired);
+  v("vrf_w", p.vrf_w, Key::kRequired);
+  v("vlsu_w", p.vlsu_w, Key::kRequired);
+  v("snitch_w", p.snitch_w, Key::kRequired);
+  v("icn_w", p.icn_w, Key::kRequired);
+  v("banks_w", p.banks_w, Key::kRequired);
+  v("burst_w", p.burst_w, Key::kRequired);
+  v("static_w", p.static_w, Key::kRequired);
+}
+
+}  // namespace tcdm
 
 namespace tcdm::metrics {
 
@@ -66,7 +108,8 @@ struct MetricsDoc {
 
   [[nodiscard]] Json to_json() const;
   /// Validates schema name/version; throws SchemaError on mismatch or
-  /// structurally invalid documents.
+  /// structurally invalid documents (a missing or mistyped field, an
+  /// unknown key), naming the `/`-joined path of the offending key.
   static MetricsDoc from_json(const Json& j);
 
   void write_file(const std::string& path) const;

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "src/common/bitutil.hpp"
+#include "src/common/json_fields.hpp"
 
 namespace tcdm {
 
@@ -81,6 +82,21 @@ void ClusterConfig::validate() const {
       {"bm.merge_slots", bm.merge_slots}};
   for (const auto& [field, depth] : depths) {
     if (depth == 0) throw std::invalid_argument(name + ": " + field + " must be >= 1");
+  }
+  // Each network master port holds its level's pipe latency plus the extra
+  // slots (HierNetwork sizes it in unsigned arithmetic, so a wrap is zero too).
+  for (std::size_t i = 0; i < level_latency.size(); ++i) {
+    const std::pair<const char*, unsigned> pipes[] = {
+        {"request", level_latency[i].request}, {"response", level_latency[i].response}};
+    for (const auto& [channel, latency] : pipes) {
+      if (latency + net.master_extra_slots == 0) {
+        throw std::invalid_argument(name + ": level_latency[" + std::to_string(i) + "]." +
+                                    channel + " + net.master_extra_slots must be >= 1");
+      }
+    }
+  }
+  if (!(freq_ss_mhz > 0.0) || !(freq_tt_mhz > 0.0)) {
+    throw std::invalid_argument(name + ": freq_ss_mhz and freq_tt_mhz must be positive");
   }
   if (snitch.max_scalar_loads == 0 || snitch.max_scalar_loads > kMaxScalarLoads) {
     throw std::invalid_argument(name + ": snitch.max_scalar_loads must be in 1.." +
@@ -171,148 +187,96 @@ ClusterConfig ClusterConfig::with_strided_bursts() const {
 
 // ------------------------------------------------------ JSON round trip ----
 
+template <class V>
+void json_fields(V& v, LevelLatency& l) {
+  v("request", l.request);
+  v("response", l.response);
+}
+
+template <class V>
+void json_fields(V& v, SnitchConfig& s) {
+  v("max_scalar_loads", s.max_scalar_loads);
+  v("mul_latency", s.mul_latency);
+  v("fpu_latency", s.fpu_latency);
+  v("taken_branch_penalty", s.taken_branch_penalty);
+}
+
+template <class V>
+void json_fields(V& v, NetworkConfig& n) {
+  v("req_grouping_factor", n.req_grouping_factor);
+  v("master_extra_slots", n.master_extra_slots);
+  v("slave_depth", n.slave_depth);
+}
+
+template <class V>
+void json_fields(V& v, BurstManagerConfig& b) {
+  v("fifo_depth", b.fifo_depth);
+  v("merge_slots", b.merge_slots);
+}
+
+/// The resolved burst fields, which the "burst" sugar block sets instead.
+template <class V>
+void burst_fields(V& v, ClusterConfig& c) {
+  v("burst_enabled", c.burst_enabled);
+  v("grouping_factor", c.grouping_factor);
+  v("max_burst_len", c.max_burst_len);
+  v("strided_bursts", c.strided_bursts);
+  v("store_bursts", c.store_bursts);
+}
+
+template <class V>
+void json_fields(V& v, ClusterConfig& c) {
+  v("name", c.name);
+  v("num_tiles", c.num_tiles);
+  v("vlsu_ports", c.vlsu_ports);
+  v("vlen_bits", c.vlen_bits);
+  v("banks_per_tile", c.banks_per_tile);
+  v("bank_words", c.bank_words);
+  v("level_sizes", c.level_sizes);
+  v("level_latency", c.level_latency);
+  v("rob_depth", c.rob_depth);
+  v("viq_depth", c.viq_depth);
+  v("fpu_latency", c.fpu_latency);
+  v("snitch", c.snitch);
+  v("bank_in_depth", c.bank_in_depth);
+  v("bank_out_depth", c.bank_out_depth);
+  v("net", c.net);
+  burst_fields(v, c);
+  v("bm", c.bm);
+  v("barrier_release_latency", c.barrier_release_latency);
+  v("start_stagger_cycles", c.start_stagger_cycles);
+  v("freq_ss_mhz", c.freq_ss_mhz);
+  v("freq_tt_mhz", c.freq_tt_mhz);
+}
+
 namespace {
 
 [[noreturn]] void cfg_error(const std::string& path, const std::string& what) {
   throw std::invalid_argument(path + ": " + what);
 }
 
-unsigned json_uint(const Json& v, const std::string& path) {
-  if (!v.is_uint()) cfg_error(path, "expected a non-negative integer");
-  return static_cast<unsigned>(v.as_double());
-}
+/// Finds the first listed key present in a document.
+struct FirstPresentKey {
+  const Json& doc;
+  const char* key = nullptr;
 
-double json_num(const Json& v, const std::string& path) {
-  if (!v.is_number()) cfg_error(path, "expected a number");
-  return v.as_double();
-}
-
-bool json_flag(const Json& v, const std::string& path) {
-  if (!v.is_bool()) cfg_error(path, "expected true or false");
-  return v.as_bool();
-}
-
-const std::string& json_str(const Json& v, const std::string& path) {
-  if (!v.is_string()) cfg_error(path, "expected a string");
-  return v.as_string();
-}
-
-const Json::Object& json_obj(const Json& v, const std::string& path) {
-  if (!v.is_object()) cfg_error(path, "expected an object");
-  return v.as_object();
-}
-
-Json latency_to_json(const LevelLatency& l) {
-  Json j;
-  j.set("request", l.request);
-  j.set("response", l.response);
-  return j;
-}
-
-SnitchConfig snitch_from_json(const Json& v, const std::string& path) {
-  SnitchConfig s;
-  for (const auto& [key, val] : json_obj(v, path)) {
-    const std::string p = path + "/" + key;
-    if (key == "max_scalar_loads") {
-      s.max_scalar_loads = json_uint(val, p);
-    } else if (key == "mul_latency") {
-      s.mul_latency = json_uint(val, p);
-    } else if (key == "fpu_latency") {
-      s.fpu_latency = json_uint(val, p);
-    } else if (key == "taken_branch_penalty") {
-      s.taken_branch_penalty = json_uint(val, p);
-    } else {
-      cfg_error(p, "unknown key");
-    }
+  template <class T>
+  void operator()(const char* k, T&) {
+    if (key == nullptr && doc.contains(k)) key = k;
   }
-  return s;
-}
-
-NetworkConfig net_from_json(const Json& v, NetworkConfig n, const std::string& path) {
-  for (const auto& [key, val] : json_obj(v, path)) {
-    const std::string p = path + "/" + key;
-    if (key == "req_grouping_factor") {
-      n.req_grouping_factor = json_uint(val, p);
-    } else if (key == "master_extra_slots") {
-      n.master_extra_slots = json_uint(val, p);
-    } else if (key == "slave_depth") {
-      n.slave_depth = json_uint(val, p);
-    } else {
-      cfg_error(p, "unknown key");
-    }
-  }
-  return n;
-}
-
-BurstManagerConfig bm_from_json(const Json& v, BurstManagerConfig b,
-                                const std::string& path) {
-  for (const auto& [key, val] : json_obj(v, path)) {
-    const std::string p = path + "/" + key;
-    if (key == "fifo_depth") {
-      b.fifo_depth = json_uint(val, p);
-    } else if (key == "merge_slots") {
-      b.merge_slots = json_uint(val, p);
-    } else {
-      cfg_error(p, "unknown key");
-    }
-  }
-  return b;
-}
+};
 
 }  // namespace
 
-Json ClusterConfig::to_json() const {
-  Json j;
-  j.set("name", name);
-  j.set("num_tiles", num_tiles);
-  j.set("vlsu_ports", vlsu_ports);
-  j.set("vlen_bits", vlen_bits);
-  j.set("banks_per_tile", banks_per_tile);
-  j.set("bank_words", bank_words);
-  Json::Array sizes;
-  for (unsigned s : level_sizes) sizes.emplace_back(s);
-  j.set("level_sizes", std::move(sizes));
-  Json::Array lats;
-  for (const LevelLatency& l : level_latency) lats.push_back(latency_to_json(l));
-  j.set("level_latency", std::move(lats));
-  j.set("rob_depth", rob_depth);
-  j.set("viq_depth", viq_depth);
-  j.set("fpu_latency", fpu_latency);
-  Json sn;
-  sn.set("max_scalar_loads", snitch.max_scalar_loads);
-  sn.set("mul_latency", snitch.mul_latency);
-  sn.set("fpu_latency", snitch.fpu_latency);
-  sn.set("taken_branch_penalty", snitch.taken_branch_penalty);
-  j.set("snitch", std::move(sn));
-  j.set("bank_in_depth", bank_in_depth);
-  j.set("bank_out_depth", bank_out_depth);
-  Json nt;
-  nt.set("req_grouping_factor", net.req_grouping_factor);
-  nt.set("master_extra_slots", net.master_extra_slots);
-  nt.set("slave_depth", net.slave_depth);
-  j.set("net", std::move(nt));
-  j.set("burst_enabled", burst_enabled);
-  j.set("grouping_factor", grouping_factor);
-  j.set("max_burst_len", max_burst_len);
-  j.set("strided_bursts", strided_bursts);
-  j.set("store_bursts", store_bursts);
-  Json b;
-  b.set("fifo_depth", bm.fifo_depth);
-  b.set("merge_slots", bm.merge_slots);
-  j.set("bm", std::move(b));
-  j.set("barrier_release_latency", barrier_release_latency);
-  j.set("start_stagger_cycles", start_stagger_cycles);
-  j.set("freq_ss_mhz", freq_ss_mhz);
-  j.set("freq_tt_mhz", freq_tt_mhz);
-  return j;
-}
+Json ClusterConfig::to_json() const { return write_json(*this); }
 
 ClusterConfig ClusterConfig::from_json(const Json& j, const std::string& path) {
-  const Json::Object& obj = json_obj(j, path);
+  JsonReader<std::invalid_argument> fields(j, path);
 
   ClusterConfig cfg;
+  std::string preset;
+  fields("preset", preset);
   if (j.contains("preset")) {
-    const std::string& preset = json_str(j.at("preset"), path + "/preset");
     try {
       cfg = by_name(preset);
     } catch (const std::invalid_argument&) {
@@ -327,123 +291,39 @@ ClusterConfig ClusterConfig::from_json(const Json& j, const std::string& path) {
   // (rob_depth stays combinable on purpose: the block doubles the swept
   // pre-burst depth, exactly like the C++ with_burst call.)
   if (j.contains("burst")) {
-    for (const char* direct : {"burst_enabled", "grouping_factor", "max_burst_len",
-                               "strided_bursts", "store_bursts"}) {
-      if (j.contains(direct)) {
-        cfg_error(path + "/" + direct,
-                  "cannot combine the \"burst\" block with resolved burst fields");
-      }
+    FirstPresentKey direct{j};
+    burst_fields(direct, cfg);
+    if (direct.key != nullptr) {
+      cfg_error(path + "/" + direct.key,
+                "cannot combine the \"burst\" block with resolved burst fields");
     }
   }
 
-  for (const auto& [key, val] : obj) {
-    const std::string p = path + "/" + key;
-    if (key == "preset" || key == "burst") {
-      continue;  // handled out of band
-    } else if (key == "name") {
-      cfg.name = json_str(val, p);
-    } else if (key == "num_tiles") {
-      cfg.num_tiles = json_uint(val, p);
-    } else if (key == "vlsu_ports") {
-      cfg.vlsu_ports = json_uint(val, p);
-    } else if (key == "vlen_bits") {
-      cfg.vlen_bits = json_uint(val, p);
-    } else if (key == "banks_per_tile") {
-      cfg.banks_per_tile = json_uint(val, p);
-    } else if (key == "bank_words") {
-      cfg.bank_words = json_uint(val, p);
-    } else if (key == "level_sizes") {
-      if (!val.is_array()) cfg_error(p, "expected an array of level sizes");
-      cfg.level_sizes.clear();
-      for (std::size_t i = 0; i < val.as_array().size(); ++i) {
-        cfg.level_sizes.push_back(
-            json_uint(val.as_array()[i], p + "[" + std::to_string(i) + "]"));
-      }
-    } else if (key == "level_latency") {
-      if (!val.is_array()) cfg_error(p, "expected an array of {request, response}");
-      cfg.level_latency.clear();
-      for (std::size_t i = 0; i < val.as_array().size(); ++i) {
-        const std::string lp = p + "[" + std::to_string(i) + "]";
-        LevelLatency lat;
-        for (const auto& [lkey, lval] : json_obj(val.as_array()[i], lp)) {
-          if (lkey == "request") {
-            lat.request = json_uint(lval, lp + "/request");
-          } else if (lkey == "response") {
-            lat.response = json_uint(lval, lp + "/response");
-          } else {
-            cfg_error(lp + "/" + lkey, "unknown key");
-          }
-        }
-        cfg.level_latency.push_back(lat);
-      }
-    } else if (key == "rob_depth") {
-      cfg.rob_depth = json_uint(val, p);
-    } else if (key == "viq_depth") {
-      cfg.viq_depth = json_uint(val, p);
-    } else if (key == "fpu_latency") {
-      cfg.fpu_latency = json_uint(val, p);
-    } else if (key == "snitch") {
-      cfg.snitch = snitch_from_json(val, p);
-    } else if (key == "bank_in_depth") {
-      cfg.bank_in_depth = json_uint(val, p);
-    } else if (key == "bank_out_depth") {
-      cfg.bank_out_depth = json_uint(val, p);
-    } else if (key == "net") {
-      cfg.net = net_from_json(val, cfg.net, p);
-    } else if (key == "burst_enabled") {
-      cfg.burst_enabled = json_flag(val, p);
-    } else if (key == "grouping_factor") {
-      cfg.grouping_factor = json_uint(val, p);
-    } else if (key == "max_burst_len") {
-      cfg.max_burst_len = json_uint(val, p);
-    } else if (key == "strided_bursts") {
-      cfg.strided_bursts = json_flag(val, p);
-    } else if (key == "store_bursts") {
-      cfg.store_bursts = json_flag(val, p);
-    } else if (key == "bm") {
-      cfg.bm = bm_from_json(val, cfg.bm, p);
-    } else if (key == "barrier_release_latency") {
-      cfg.barrier_release_latency = json_uint(val, p);
-    } else if (key == "start_stagger_cycles") {
-      cfg.start_stagger_cycles = json_uint(val, p);
-    } else if (key == "freq_ss_mhz") {
-      cfg.freq_ss_mhz = json_num(val, p);
-    } else if (key == "freq_tt_mhz") {
-      cfg.freq_tt_mhz = json_num(val, p);
-    } else {
-      cfg_error(p, "unknown key");
-    }
-  }
+  json_fields(fields, cfg);
+  fields.finish({"burst"});
 
   if (j.contains("burst")) {
-    const std::string bp = path + "/burst";
     const Json& b = j.at("burst");
-    (void)json_obj(b, bp);
-    if (!b.contains("gf")) cfg_error(bp + "/gf", "required (0 keeps the baseline)");
-    const unsigned gf = json_uint(b.at("gf"), bp + "/gf");
-    for (const auto& [bkey, bval] : b.as_object()) {
-      const std::string p = bp + "/" + bkey;
-      if (bkey != "gf" && bkey != "max_burst_len" && bkey != "strided" &&
-          bkey != "store_req_gf") {
-        cfg_error(p, "unknown key (burst block takes gf, max_burst_len, "
-                     "strided, store_req_gf)");
+    JsonReader<std::invalid_argument> block(b, path + "/burst");
+    unsigned gf = 0;
+    bool strided = false;
+    unsigned store_req_gf = 0;
+    block("gf", gf, Key::kRequired);  // 0 keeps the baseline
+    block("max_burst_len", cfg.max_burst_len);
+    block("strided", strided);
+    block("store_req_gf", store_req_gf);
+    block.finish();
+    for (const auto& [key, value] : b.as_object()) {
+      (void)value;
+      if (gf == 0 && key != "gf") {
+        cfg_error(path + "/burst/" + key,
+                  "a baseline burst block (gf 0) takes no further parameters");
       }
-      if (gf == 0 && bkey != "gf") {
-        cfg_error(p, "a baseline burst block (gf 0) takes no further parameters");
-      }
-      (void)bval;
     }
     if (gf > 0) {
       cfg = cfg.with_burst(gf);
-      if (b.contains("max_burst_len")) {
-        cfg.max_burst_len = json_uint(b.at("max_burst_len"), bp + "/max_burst_len");
-      }
-      if (b.contains("strided") && json_flag(b.at("strided"), bp + "/strided")) {
-        cfg = cfg.with_strided_bursts();
-      }
-      if (b.contains("store_req_gf")) {
-        cfg = cfg.with_store_bursts(json_uint(b.at("store_req_gf"), bp + "/store_req_gf"));
-      }
+      if (strided) cfg = cfg.with_strided_bursts();
+      if (b.contains("store_req_gf")) cfg = cfg.with_store_bursts(store_req_gf);
     }
   }
 

@@ -2,9 +2,10 @@
 // instance, plus the three preset scales evaluated in the paper and the
 // `with_burst(GF)` transform that applies the TCDM Burst extension
 // (burst-enabled Sender, GF-wide response channel, doubled ROBs — §III).
-// Each of its 31 settable values (the keys of to_json, counting the
-// snitch/net/bm entries one by one) is read by the simulator; none is
-// derived from another or overwritten when the cluster is built.
+// Each of its 31 settable values (the keys of its JSON field list,
+// json_fields in cluster_config.cpp, counting the snitch/net/bm entries one
+// by one) is read by the simulator; none is derived from another or
+// overwritten when the cluster is built.
 #pragma once
 
 #include <string>

@@ -11,21 +11,16 @@
 
 namespace tcdm::explore {
 
-namespace {
-
-Json point_to_json(const FrontierPoint& p) {
-  Json j;
-  j.set("rel", p.rel);
-  j.set("key", p.key);
-  j.set("area_mge", p.area_mge);
-  j.set("cost", p.cost);
-  j.set("value", p.value);
-  j.set("metrics", metrics::kernel_metrics_to_json(p.metrics));
-  j.set("power", metrics::power_to_json(p.power));
-  return j;
+template <class V>
+void json_fields(V& v, FrontierPoint& p) {
+  v("rel", p.rel);
+  v("key", p.key);
+  v("area_mge", p.area_mge);
+  v("cost", p.cost);
+  v("value", p.value);
+  v("metrics", p.metrics);
+  v("power", p.power);
 }
-
-}  // namespace
 
 ExploreOutcome run_explore(const scenario::LoadedSuite& suite,
                            const ExploreOptions& opts) {
@@ -179,17 +174,13 @@ ExploreOutcome run_explore(const scenario::LoadedSuite& suite,
 
 Json report_json(const scenario::LoadedSuite& suite, const ExploreOptions& opts,
                  const ExploreOutcome& outcome) {
-  Json doc;
-  doc.set("schema", kReportSchemaName);
-  doc.set("schema_version", kReportSchemaVersion);
-  doc.set("suite", suite.suite.name);
-  doc.set("objective", objective_name(opts.objective.kind));
-  doc.set("area_cap_mge", opts.objective.area_cap_mge);
-  Json::Array pts;
-  pts.reserve(outcome.frontier.size());
-  for (const FrontierPoint& p : outcome.frontier) pts.push_back(point_to_json(p));
-  doc.set("frontier", Json(std::move(pts)));
-  return doc;
+  JsonWriter doc;
+  doc.schema(kReportSchemaName, kReportSchemaVersion);
+  doc("suite", suite.suite.name);
+  doc("objective", std::string(objective_name(opts.objective.kind)));
+  doc("area_cap_mge", opts.objective.area_cap_mge);
+  doc("frontier", outcome.frontier);
+  return doc.take();
 }
 
 void print_frontier(std::ostream& os, const ExploreOptions& opts,

@@ -7,7 +7,7 @@
 #include <utility>
 
 #include "src/analytics/metrics_export.hpp"
-#include "src/common/json.hpp"
+#include "src/common/json_fields.hpp"
 
 namespace tcdm::explore {
 
@@ -18,66 +18,35 @@ namespace {
   throw ExploreFileError(path + ":" + std::to_string(line) + ": " + what);
 }
 
-Json header_json() {
-  Json h;
-  h.set("schema", kCacheSchemaName);
-  h.set("schema_version", kCacheSchemaVersion);
-  return h;
+/// Line 1 of every cache file.
+struct Header {};
+
+template <class V>
+void json_fields(V& v, Header&) {
+  v.schema(kCacheSchemaName, kCacheSchemaVersion);
 }
 
-void check_header(const Json& h, const std::string& path) {
-  if (!h.is_object() || h.get("schema", std::string()) != kCacheSchemaName) {
-    corrupt(path, 1, "not a " + std::string(kCacheSchemaName) + " file");
-  }
-  if (h.get("schema_version", 0.0) != kCacheSchemaVersion) {
-    corrupt(path, 1,
-            "unsupported schema_version (expected " +
-                std::to_string(kCacheSchemaVersion) + ")");
-  }
-  if (h.as_object().size() != 2) corrupt(path, 1, "unexpected keys in header");
+/// Every further line: a design-point key beside the result it maps to.
+struct Entry {
+  std::string key;
+  CachedResult result;
+};
+
+template <class V>
+void json_fields(V& v, Entry& e) {
+  v("key", e.key, Key::kRequired);
+  v("rel", e.result.rel, Key::kRequired);
+  v("error", e.result.error, Key::kRequired);
+  v("metrics", e.result.metrics, Key::kRequired);
+  v("power", e.result.power, Key::kRequired);
 }
 
-Json entry_to_json(const std::string& key, const CachedResult& r) {
-  Json j;
-  j.set("key", key);
-  j.set("rel", r.rel);
-  j.set("error", r.error);
-  j.set("metrics", metrics::kernel_metrics_to_json(r.metrics));
-  j.set("power", metrics::power_to_json(r.power));
-  return j;
-}
-
-std::pair<std::string, CachedResult> entry_from_json(const Json& j,
-                                                     const std::string& path,
-                                                     std::size_t line) {
-  if (!j.is_object()) corrupt(path, line, "expected an entry object");
-  for (const auto& [key, val] : j.as_object()) {
-    (void)val;
-    if (key != "key" && key != "rel" && key != "error" && key != "metrics" &&
-        key != "power") {
-      corrupt(path, line, "unknown entry field \"" + key + "\"");
-    }
-  }
-  for (const char* req : {"key", "rel", "error", "metrics", "power"}) {
-    if (!j.contains(req)) {
-      corrupt(path, line, std::string("entry field \"") + req + "\" missing");
-    }
-  }
-  if (!j.at("key").is_string() || !j.at("rel").is_string() ||
-      !j.at("error").is_string()) {
-    corrupt(path, line, "key/rel/error must be strings");
-  }
-  CachedResult r;
-  r.rel = j.at("rel").as_string();
-  r.error = j.at("error").as_string();
-  const std::string where = path + ":" + std::to_string(line);
-  try {
-    r.metrics = metrics::kernel_metrics_from_json(j.at("metrics"), where + "/metrics");
-    r.power = metrics::power_from_json(j.at("power"), where + "/power");
-  } catch (const metrics::SchemaError& e) {
-    throw ExploreFileError(e.what());
-  }
-  return {j.at("key").as_string(), std::move(r)};
+/// Reads line `line` of `path` as a T; faults name `path:line/<key>`.
+template <class T>
+T read_line(const Json& j, const std::string& path, std::size_t line) {
+  T out;
+  read_json<ExploreFileError>(j, path + ":" + std::to_string(line), out);
+  return out;
 }
 
 }  // namespace
@@ -117,12 +86,12 @@ MemoStore::MemoStore(const std::string& path) : path_(path) {
         corrupt(path, line_no, e.what());
       }
       if (!header_seen) {
-        check_header(j, path);
+        (void)read_line<Header>(j, path, line_no);
         header_seen = true;
         continue;
       }
-      auto [key, result] = entry_from_json(j, path, line_no);
-      entries_[std::move(key)] = std::move(result);
+      Entry e = read_line<Entry>(j, path, line_no);
+      entries_[std::move(e.key)] = std::move(e.result);
     }
     if (in.bad()) throw std::runtime_error(path + ": read failed");
     if (!header_seen && line_no > 0) corrupt(path, 1, "missing header line");
@@ -138,7 +107,7 @@ MemoStore::MemoStore(const std::string& path) : path_(path) {
     append_.open(path, std::ios::binary | std::ios::app);
     if (!append_) throw std::runtime_error(path + ": cannot open for appending");
     if (line_no == 0) {  // existed but empty: write the header now
-      append_ << header_json().dump_compact() << '\n';
+      append_ << write_json(Header{}).dump_compact() << '\n';
       append_.flush();
     } else if (unterminated) {  // complete last line, newline lost in a kill
       append_ << '\n';
@@ -147,7 +116,7 @@ MemoStore::MemoStore(const std::string& path) : path_(path) {
   } else {
     append_.open(path, std::ios::binary | std::ios::app);
     if (!append_) throw std::runtime_error(path + ": cannot open for appending");
-    append_ << header_json().dump_compact() << '\n';
+    append_ << write_json(Header{}).dump_compact() << '\n';
     append_.flush();
   }
 }
@@ -159,7 +128,7 @@ const CachedResult* MemoStore::lookup(const std::string& key) const {
 
 void MemoStore::insert(const std::string& key, CachedResult result) {
   if (append_.is_open()) {
-    append_ << entry_to_json(key, result).dump_compact() << '\n';
+    append_ << write_json(Entry{key, result}).dump_compact() << '\n';
     append_.flush();  // a killed run keeps every completed entry
     if (!append_) throw std::runtime_error(path_ + ": append failed");
   }

@@ -10,6 +10,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "src/common/json_fields.hpp"
 #include "src/kernels/axpy.hpp"
 #include "src/kernels/conv2d.hpp"
 #include "src/kernels/dotp.hpp"
@@ -23,6 +24,18 @@
 #include "src/kernels/trace_replay.hpp"
 #include "src/kernels/transpose.hpp"
 #include "src/scenario/builtin.hpp"
+
+namespace tcdm {
+
+/// The host-side `sim` options are not part of a design point.
+template <class V>
+void json_fields(V& v, RunnerOptions& o) {
+  v("verify", o.verify);
+  v("max_cycles", o.max_cycles);
+  v("watchdog_window", o.watchdog_window);
+}
+
+}  // namespace tcdm
 
 namespace tcdm::scenario {
 
@@ -269,33 +282,11 @@ std::unique_ptr<Kernel> KernelSpec::instantiate(const ClusterConfig& cfg,
   return std::make_unique<TraceReplayKernel>(synthetic_trace(cfg, tc));
 }
 
-Json runner_options_to_json(const RunnerOptions& o) {
-  Json j;
-  j.set("verify", o.verify);
-  j.set("max_cycles", static_cast<unsigned long long>(o.max_cycles));
-  j.set("watchdog_window", static_cast<unsigned long long>(o.watchdog_window));
-  return j;
-}
+Json runner_options_to_json(const RunnerOptions& o) { return write_json(o); }
 
 RunnerOptions runner_options_from_json(const Json& j, const std::string& path) {
-  if (!j.is_object()) spec_error(path, "expected an options object");
   RunnerOptions o;
-  for (const auto& [key, val] : j.as_object()) {
-    const std::string p = path + "/" + key;
-    if (key == "verify") {
-      if (!val.is_bool()) spec_error(p, "expected true or false");
-      o.verify = val.as_bool();
-    } else if (key == "max_cycles" || key == "watchdog_window") {
-      if (!val.is_uint(9007199254740992.0)) {  // 2^53: exact-integer range
-        spec_error(p, "expected a non-negative integer");
-      }
-      (key == "max_cycles" ? o.max_cycles : o.watchdog_window) =
-          static_cast<Cycle>(val.as_double());
-    } else {
-      spec_error(p, "unknown key (options take verify, max_cycles, "
-                    "watchdog_window)");
-    }
-  }
+  read_json<std::invalid_argument>(j, path, o);
   return o;
 }
 

@@ -66,8 +66,8 @@ struct SystemConfig {
   void validate() const;
 
   /// Full serialization; from_json(to_json()) is the identity for any valid
-  /// config. Default-valued barrier_kind/barrier_radix are omitted, same
-  /// convention as ClusterConfig.
+  /// config. Default-valued barrier_kind/barrier_radix are omitted (the
+  /// field list is json_fields in system_config.cpp).
   [[nodiscard]] Json to_json() const;
 
   /// Strict deserialization: unknown keys, wrong types and inconsistent

@@ -150,6 +150,18 @@ TEST(ConfigHash, KeyIsStableAcrossProcessRestarts) {
   sys.dma_words = 512;
   p.system = sys;
   EXPECT_EQ(canonical_key(p), "ab13136c3f75093c974bfbe731ea21e7");
+  // Off-default barrier fields, which the writer omits at their defaults.
+  sys.barrier_kind = BarrierKind::kTree;
+  sys.barrier_radix = 4;
+  p.system = sys;
+  EXPECT_EQ(canonical_key(p), "48938f98401c2e3b4a0576d0bf2dacb5");
+  // Every burst extension on: GF4 responses, strided and store bursts.
+  p.system.reset();
+  p.config = ClusterConfig::by_name("mp4spatz4")
+                 .with_burst(4)
+                 .with_strided_bursts()
+                 .with_store_bursts(2);
+  EXPECT_EQ(canonical_key(p), "b837c4cc639d8314d43038e2a6351e38");
   EXPECT_EQ(digest128("tcdm"), "94475cbafd48273673bcc5a5250a8ecb");
   EXPECT_NE(digest128("tcdm"), digest128("tcdM"));
 }
@@ -279,12 +291,36 @@ TEST(MemoStore, FileBackedRoundTripIsBitExact) {
   CachedResult in;
   in.rel = "c0/dotp";
   in.metrics = awkward_metrics();
+  in.metrics.clusters = 4;
+  in.metrics.noc_bytes = 4096.5;
   in.power.config = "cfg";
   in.power.fpu_w = 1.0 / 7.0;
+  in.power.vrf_w = 0.2;
+  in.power.vlsu_w = 0.3;
+  in.power.snitch_w = 0.4;
+  in.power.icn_w = 0.5;
+  in.power.banks_w = 0.6;
+  in.power.burst_w = 0.7;
+  in.power.static_w = 0.8;
   {
     MemoStore store(path);
     store.insert("k1", in);
     EXPECT_EQ(store.size(), 1u);
+  }
+  {  // the stored line is a wire format: pin it byte for byte
+    std::ifstream file(path, std::ios::binary);
+    std::string header, line;
+    std::getline(file, header);
+    std::getline(file, line);
+    EXPECT_EQ(line,
+              R"({"error":"","key":"k1","metrics":{"arithmetic_intensity":0.25)"
+              R"(,"bw_bytes_per_cycle":123.45678901234568,"bw_per_core":7.7,"bytes":0.1)"
+              R"(,"clusters":4,"config":"cfg","cycles":1234567,"flops":333333333.3333333)"
+              R"(,"flops_per_cycle":6.02e+23,"fpu_util":0.3333333333333333,"gflops_ss":1.25)"
+              R"(,"gflops_tt":null,"kernel":"k","noc_bytes":4096.5,"size":"n=3","timed_out":false)"
+              R"(,"verified":true},"power":{"banks_w":0.6,"burst_w":0.7,"config":"cfg")"
+              R"(,"fpu_w":0.14285714285714285,"icn_w":0.5,"snitch_w":0.4,"static_w":0.8)"
+              R"(,"vlsu_w":0.3,"vrf_w":0.2},"rel":"c0/dotp"})");
   }
   MemoStore reloaded(path);
   ASSERT_EQ(reloaded.size(), 1u);
@@ -299,7 +335,11 @@ TEST(MemoStore, FileBackedRoundTripIsBitExact) {
   EXPECT_EQ(out->metrics.flops_per_cycle, in.metrics.flops_per_cycle);
   EXPECT_EQ(out->metrics.bw_bytes_per_cycle, in.metrics.bw_bytes_per_cycle);
   EXPECT_TRUE(std::isnan(out->metrics.gflops_tt));  // NaN survives as null
+  EXPECT_EQ(out->metrics.clusters, 4u);
+  EXPECT_EQ(out->metrics.noc_bytes, in.metrics.noc_bytes);
   EXPECT_EQ(out->power.fpu_w, in.power.fpu_w);
+  EXPECT_EQ(out->power.static_w, in.power.static_w);
+  EXPECT_EQ(out->power.total(), in.power.total());
   EXPECT_EQ(reloaded.lookup("nope"), nullptr);
 }
 

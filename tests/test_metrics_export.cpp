@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <filesystem>
+#include <functional>
 #include <fstream>
 
 #include "src/analytics/metrics_export.hpp"
@@ -143,6 +144,43 @@ TEST(MetricsDoc, RejectsForeignOrFutureSchemas) {
   EXPECT_THROW((void)MetricsDoc::from_json(j), metrics::SchemaError);
   EXPECT_THROW((void)MetricsDoc::from_json(Json::parse("{}")), metrics::SchemaError);
   EXPECT_THROW((void)MetricsDoc::from_json(Json(3.0)), metrics::SchemaError);
+}
+
+TEST(MetricsDoc, RejectsMalformedDocumentsNamingTheOffendingPath) {
+  // Baselines are untrusted input: every structural fault is a SchemaError
+  // that names where it sits, and keys the schema does not define are
+  // refused rather than ignored.
+  const struct {
+    const char* what;
+    std::function<void(Json&)> corrupt;
+    const char* path;
+  } cases[] = {
+      {"missing metrics", [](Json& j) { j.as_object().erase("metrics"); }, "metrics"},
+      {"string value",
+       [](Json& j) {
+         j.as_object()["metrics"].as_object()["mp4spatz4/model/peak"].set("value", "16");
+       },
+       "metrics/mp4spatz4/model/peak/value"},
+      {"stray top-level key", [](Json& j) { j.set("comment", "hand edited"); }, "comment"},
+      {"stray metric field",
+       [](Json& j) {
+         j.as_object()["metrics"].as_object()["mp4spatz4/model/peak"].set("abs_tol", 0.5);
+       },
+       "metrics/mp4spatz4/model/peak/abs_tol"},
+  };
+  for (const auto& c : cases) {
+    Json j = sample_doc().to_json();
+    c.corrupt(j);
+    try {
+      (void)MetricsDoc::from_json(j);
+      ADD_FAILURE() << c.what << ": accepted";
+    } catch (const metrics::SchemaError& e) {
+      EXPECT_EQ(std::string(e.what()).rfind(std::string(c.path) + ": ", 0), 0u)
+          << c.what << ": " << e.what();
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << c.what << ": not a SchemaError: " << e.what();
+    }
+  }
 }
 
 TEST(MetricsDoc, RejectsMetricWithoutValue) {

@@ -420,23 +420,16 @@ int cmd_gen(const char* argv0, std::vector<std::string> args) {
     const bool is_count = args[i].rfind("--count", 0) == 0;
     if (args[i].find('=') == std::string::npos) ++i;
     if (is_seed || is_count) {
-      // Strict: the whole value must be a non-negative integer. stoull
-      // alone would wrap "-1" and stop at trailing junk ("20x") — fatal
-      // for a tool whose point is seed-exact reproducibility.
-      try {
-        std::size_t pos = 0;
-        if (value.empty() || value[0] == '-' || value[0] == '+') throw std::invalid_argument(value);
-        const unsigned long long parsed = std::stoull(value, &pos);
-        if (pos != value.size()) throw std::invalid_argument(value);
-        if (is_seed) {
-          opts.seed = parsed;
-        } else if (parsed > 4294967295ULL) {
-          throw std::out_of_range(value);
-        } else {
-          opts.count = static_cast<unsigned>(parsed);
-        }
-      } catch (const std::exception&) {
+      // Strict: seed-exact reproducibility cannot survive a wrapped "-1" or
+      // a value cut short at trailing junk ("20x").
+      std::size_t parsed = 0;
+      if (!parse_size(value, parsed)) return usage(argv0);
+      if (is_seed) {
+        opts.seed = parsed;
+      } else if (parsed > std::numeric_limits<unsigned>::max()) {
         return usage(argv0);
+      } else {
+        opts.count = static_cast<unsigned>(parsed);
       }
     } else {
       // `--out=` with an empty value (e.g. an unset shell variable) must
