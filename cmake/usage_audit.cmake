@@ -22,8 +22,8 @@ if(NOT rc EQUAL 2)
 endif()
 set(usage "${out}${err}")
 
-# Canonical spellings only: the short aliases --jobs (for -j) and -o (for
-# --out) are accepted but deliberately undocumented.
+# Canonical spellings only: usage() prints each flag row's name, not its
+# alias (--jobs for -j, -o for --out), which is accepted but undocumented.
 set(expected_tokens
   # subcommands
   list run emit validate gen explore

@@ -309,15 +309,10 @@ LoadedSuite parse_suite(const Json& doc, const std::string& source) {
               tpath + "/system");
           // Cross-field check the System constructor would reject anyway —
           // surfaced at load time with the scenario path instead.
-          const unsigned tcdm_words = sc.config.num_banks() * sc.config.bank_words;
-          if (sc.system->dma_words > tcdm_words) {
-            fail(source, tpath + "/system/dma_words: " +
-                             std::to_string(sc.system->dma_words) +
-                             " exceeds the TCDM capacity of cluster config \"" +
-                             sc.config.name + "\" (" +
-                             std::to_string(sc.config.num_banks()) + " banks x " +
-                             std::to_string(sc.config.bank_words) + " words = " +
-                             std::to_string(tcdm_words) + " words)");
+          try {
+            sc.system->check_fits(sc.config, tpath + "/system");
+          } catch (const std::invalid_argument& e) {
+            fail(source, e.what());
           }
         }
       } catch (const ScenarioFileError&) {

@@ -31,15 +31,7 @@ System::System(const SystemConfig& sys, const ClusterConfig& cluster_cfg,
       global_barrier_(cfg_.barrier_kind, cfg_.num_clusters, cfg_.barrier_link_latency,
                       cfg_.barrier_radix),
       watchdog_(100'000) {
-  const unsigned tcdm_words = cluster_cfg.num_banks() * cluster_cfg.bank_words;
-  if (cfg_.dma_words > tcdm_words) {
-    throw std::invalid_argument(
-        cfg_.name + "/dma_words: " + std::to_string(cfg_.dma_words) +
-        " exceeds the TCDM capacity of cluster config \"" + cluster_cfg.name +
-        "\" (" + std::to_string(cluster_cfg.num_banks()) + " banks x " +
-        std::to_string(cluster_cfg.bank_words) + " words = " +
-        std::to_string(tcdm_words) + " words)");
-  }
+  cfg_.check_fits(cluster_cfg, cfg_.name);
   clusters_.reserve(cfg_.num_clusters);
   for (unsigned c = 0; c < cfg_.num_clusters; ++c) {
     clusters_.push_back(std::make_unique<Cluster>(cluster_cfg, sim));

@@ -59,6 +59,18 @@ void SystemConfig::validate() const {
   }
 }
 
+void SystemConfig::check_fits(const ClusterConfig& cluster, const std::string& path) const {
+  const unsigned tcdm_words = cluster.num_banks() * cluster.bank_words;
+  if (dma_words > tcdm_words) {
+    throw std::invalid_argument(
+        path + "/dma_words: " + std::to_string(dma_words) +
+        " exceeds the TCDM capacity of cluster config \"" + cluster.name + "\" (" +
+        std::to_string(cluster.num_banks()) + " banks x " +
+        std::to_string(cluster.bank_words) + " words = " + std::to_string(tcdm_words) +
+        " words)");
+  }
+}
+
 Json SystemConfig::to_json() const { return write_json(*this); }
 
 SystemConfig SystemConfig::from_json(const Json& j, const std::string& path) {

@@ -65,6 +65,11 @@ struct SystemConfig {
   /// Throws std::invalid_argument when parameters are inconsistent.
   void validate() const;
 
+  /// Throws std::invalid_argument, naming `path` + "/dma_words", the cluster
+  /// config and its capacity, when dma_words exceeds one cluster's TCDM
+  /// (banks x bank_words).
+  void check_fits(const ClusterConfig& cluster, const std::string& path) const;
+
   /// Full serialization; from_json(to_json()) is the identity for any valid
   /// config. Default-valued barrier_kind/barrier_radix are omitted (the
   /// field list is json_fields in system_config.cpp).

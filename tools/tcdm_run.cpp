@@ -1,44 +1,12 @@
 // tcdm_run: one CLI for every paper table, figure, ablation and study —
-// builtin or data-driven. Drives the scenario registry, so reproducing any
-// artifact (or exploring a brand-new one from a JSON suite file) never
-// requires a new binary.
-//
-//   tcdm_run list [--file F]... [glob...]      list suites and scenarios
-//   tcdm_run run [-j N] [--stepping M] [--file F]...
-//                [--no-builtin] [glob...]      run a selection; print tables
-//   tcdm_run emit [-j N] [--stepping M] [--file F]...
-//                 [--no-builtin] --out <dir> (--all | suite|glob...)
-//                                              sweep suites, write <dir>/<suite>.json
-//   tcdm_run validate [file...|-]              load + expand + validate suite
-//                                              files (default: stdin)
-//   tcdm_run gen --seed N --count K [--out F]  emit a randomized, invariant-
-//                                              checked suite file (stdout)
-//   tcdm_run explore [-j N] [--stepping M] [--objective NAME]
-//                    [--area-cap MGE] [--budget N] [--cache F] [--no-prune]
-//                    [--report F] [--fail-after N] <suite.json>
-//                                              memoized design-space search
-//                                              over a suite file; prints the
-//                                              Pareto frontier; a search
-//                                              stopped by --budget or a
-//                                              crash continues when rerun
-//                                              with the same --cache
-//
-// `--file` registers a tcdm-scenarios JSON suite (repeatable) next to the
-// builtins; `--no-builtin` starts from an empty registry instead, which
-// lets a file re-express a builtin suite under its own name. With `--file`
-// and no globs/suites, the file's suites are selected. Globs match full
-// scenario names (`*` crosses `/`). Parallel runs (-j) produce
-// byte-identical emissions and stdout tables to serial ones; each scenario
-// itself simulates on one thread. `--stepping event|cycle|check`
-// selects how each cluster advances time (event-driven skipping, the
-// cycle-by-cycle reference loop, or the self-verifying cross-check mode —
-// all bit-identical; see docs/ARCHITECTURE.md).
+// builtin or data-driven. Its subcommands and their flags are the
+// kSubcommands table; usage() prints it (run with no arguments).
 // Exit codes: 0 ok, 1 scenario/validation failure or empty selection,
 // 2 usage/IO errors (including unknown subcommands and flags, and corrupt
 // explore cache files), 3 injected --fail-after abort.
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <limits>
@@ -58,55 +26,30 @@
 namespace tcdm::scenario {
 namespace {
 
-int usage(const char* argv0) {
-  std::fprintf(
-      stderr,
-      "usage: %s list [--file F]... [glob...]\n"
-      "       %s run [-j N] [--stepping M] [--file F]... [--no-builtin] [glob...]\n"
-      "       %s emit [-j N] [--stepping M] [--file F]... [--no-builtin]\n"
-      "            --out <dir> (--all | suite|glob...)\n"
-      "       %s validate [file...|-]\n"
-      "       %s gen [--seed N] [--count K] [--out <file>]\n"
-      "       %s explore [-j N] [--stepping M] [--objective NAME] [--area-cap MGE]\n"
-      "            [--budget N] [--cache F] [--no-prune] [--report F]\n"
-      "            [--fail-after N] <suite.json>\n"
-      "\n"
-      "  --stepping M   time advance per cluster: event (skip quiet spans,\n"
-      "                 default), cycle (reference loop), check (skip decisions\n"
-      "                 verified cycle-by-cycle). All modes are bit-identical.\n"
-      "\n"
-      "  Scenarios may scale out with a \"system\" block (N clusters over a\n"
-      "  modeled L2/NoC with inter-cluster DMA bursts); its barrier_kind is\n"
-      "  one of: central, tree, butterfly, and its dma_words must fit the\n"
-      "  cluster TCDM (banks x bank_words — `validate` names the offending\n"
-      "  cluster config and the resolved capacity). `gen` emits such points\n"
-      "  too.\n",
-      argv0, argv0, argv0, argv0, argv0, argv0);
-  return 2;
-}
+int usage(const char* argv0);
 
-/// Flags shared by list/run/emit: sweep parallelism and stepping mode, plus
-/// the data-driven registry sources.
-struct CommonOptions {
+/// Every value a flag can set; each subcommand reads only the fields of the
+/// flags in its table.
+struct Options {
   unsigned jobs = 1;
   std::optional<SteppingMode> stepping;  // unset = per-spec (event-driven)
   std::vector<std::string> files;
   bool no_builtin = false;
+  std::string out;
+  bool all = false;
+  GenOptions gen;
+  explore::ExploreOptions explore;
+  std::string report;
 };
 
-/// --stepping values; `check` maps to the self-verifying kCrossCheck mode.
-bool parse_stepping(const std::string& value, std::optional<SteppingMode>& out) {
-  if (value == "event") {
-    out = SteppingMode::kEventDriven;
-  } else if (value == "cycle") {
-    out = SteppingMode::kCycleByCycle;
-  } else if (value == "check") {
-    out = SteppingMode::kCrossCheck;
-  } else {
-    return false;
-  }
-  return true;
-}
+/// One row of a flag table. The parser calls `set` once per occurrence, so
+/// a single-value flag resolves last-wins and an appending one accumulates.
+struct Flag {
+  const char* name;     // canonical spelling, the one usage() prints
+  const char* alias;    // a second accepted spelling, or nullptr
+  const char* metavar;  // "" for a switch (set() then gets "")
+  bool (*set)(Options&, const std::string& value);  // false refuses the value
+};
 
 /// Strict non-negative integer ("all" is not accepted; 0 means hardware
 /// concurrency for -j, unlimited for --budget and disabled for --fail-after).
@@ -123,68 +66,160 @@ bool parse_size(const std::string& value, std::size_t& out) {
   }
 }
 
-/// Parses the common flags out of `args`; returns false on a malformed or
-/// valueless flag (caller prints usage).
-bool parse_common(std::vector<std::string>& args, CommonOptions& opts) {
-  std::vector<std::string> rest;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    std::string value;
-    if (args[i] == "-j" || args[i] == "--jobs") {
-      if (i + 1 >= args.size()) return false;
-      value = args[++i];
-    } else if (args[i].rfind("-j", 0) == 0 && args[i].size() > 2) {
-      value = args[i].substr(2);
-    } else if (args[i] == "--stepping") {
-      if (i + 1 >= args.size() || !parse_stepping(args[i + 1], opts.stepping)) return false;
-      ++i;
-      continue;
-    } else if (args[i].rfind("--stepping=", 0) == 0) {
-      if (!parse_stepping(args[i].substr(11), opts.stepping)) return false;
-      continue;
-    } else if (args[i] == "--file") {
-      if (i + 1 >= args.size()) return false;
-      opts.files.push_back(args[++i]);
-      continue;
-    } else if (args[i].rfind("--file=", 0) == 0) {
-      opts.files.push_back(args[i].substr(7));
-      continue;
-    } else if (args[i] == "--no-builtin") {
-      opts.no_builtin = true;
-      continue;
-    } else {
-      rest.push_back(args[i]);
-      continue;
-    }
-    // A count beyond unsigned is refused rather than truncated.
-    std::size_t jobs = 0;
-    if (!parse_size(value, jobs) || jobs > std::numeric_limits<unsigned>::max()) return false;
-    opts.jobs = static_cast<unsigned>(jobs);
+/// A count beyond unsigned is refused rather than truncated.
+bool parse_unsigned(const std::string& value, unsigned& out) {
+  std::size_t parsed = 0;
+  if (!parse_size(value, parsed) || parsed > std::numeric_limits<unsigned>::max()) {
+    return false;
   }
-  args = std::move(rest);
+  out = static_cast<unsigned>(parsed);
   return true;
 }
 
-/// Selection arguments are globs and suite names, which never start with
-/// '-'; one that does is a flag the subcommand does not take.
-bool has_unknown_flag(const std::vector<std::string>& args) {
-  for (const std::string& a : args) {
-    if (!a.empty() && a[0] == '-') {
-      std::fprintf(stderr, "unknown flag '%s'\n", a.c_str());
-      return true;
+const Flag kJobs{"-j", "--jobs", "N",
+                 [](Options& o, const std::string& v) { return parse_unsigned(v, o.jobs); }};
+const Flag kStepping{"--stepping", nullptr, "M", [](Options& o, const std::string& v) {
+  // `check` is the self-verifying kCrossCheck mode.
+  if (v == "event") {
+    o.stepping = SteppingMode::kEventDriven;
+  } else if (v == "cycle") {
+    o.stepping = SteppingMode::kCycleByCycle;
+  } else if (v == "check") {
+    o.stepping = SteppingMode::kCrossCheck;
+  } else {
+    return false;
+  }
+  return true;
+}};
+const Flag kFile{"--file", nullptr, "F", [](Options& o, const std::string& v) {
+  o.files.push_back(v);
+  return true;
+}};
+const Flag kNoBuiltin{"--no-builtin", nullptr, "", [](Options& o, const std::string&) {
+  o.no_builtin = true;
+  return true;
+}};
+const Flag kOut{"--out", "-o", "PATH", [](Options& o, const std::string& v) {
+  o.out = v;
+  return true;
+}};
+const Flag kAll{"--all", nullptr, "", [](Options& o, const std::string&) {
+  o.all = true;
+  return true;
+}};
+// Strict seed and count: seed-exact reproducibility cannot survive a
+// wrapped "-1" or a value cut short at trailing junk ("20x").
+const Flag kSeed{"--seed", nullptr, "N", [](Options& o, const std::string& v) {
+  std::size_t seed = 0;
+  if (!parse_size(v, seed)) return false;
+  o.gen.seed = seed;
+  return true;
+}};
+const Flag kCount{"--count", nullptr, "K", [](Options& o, const std::string& v) {
+  return parse_unsigned(v, o.gen.count) && o.gen.count > 0;
+}};
+const Flag kObjective{"--objective", nullptr, "NAME", [](Options& o, const std::string& v) {
+  try {
+    o.explore.objective.kind = explore::objective_by_name(v);
+    return true;
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "explore: %s\n", e.what());  // names the known objectives
+    return false;
+  }
+}};
+// A NaN cap would prune every candidate and an infinite one has no JSON
+// spelling in the report, so only a finite positive area is a cap.
+const Flag kAreaCap{"--area-cap", nullptr, "MGE", [](Options& o, const std::string& v) {
+  try {
+    std::size_t pos = 0;
+    const double cap = std::stod(v, &pos);
+    if (pos != v.size() || !std::isfinite(cap) || cap <= 0.0) return false;
+    o.explore.objective.area_cap_mge = cap;
+    return true;
+  } catch (const std::exception&) {
+    return false;
+  }
+}};
+const Flag kBudget{"--budget", nullptr, "N", [](Options& o, const std::string& v) {
+  return parse_size(v, o.explore.budget);
+}};
+const Flag kCache{"--cache", nullptr, "F", [](Options& o, const std::string& v) {
+  o.explore.cache_path = v;
+  return true;
+}};
+const Flag kNoPrune{"--no-prune", nullptr, "", [](Options& o, const std::string&) {
+  o.explore.prune = false;
+  return true;
+}};
+const Flag kReport{"--report", nullptr, "F", [](Options& o, const std::string& v) {
+  o.report = v;
+  return true;
+}};
+const Flag kFailAfter{"--fail-after", nullptr, "N", [](Options& o, const std::string& v) {
+  return parse_size(v, o.explore.fail_after);
+}};
+
+/// The one flag grammar: `--flag value`, `--flag=value`, and `-jN` for a
+/// one-letter flag. A lone `-` (stdin) and every token not starting with
+/// '-' are positionals. Prints the error and returns false on an unknown
+/// flag, a missing or empty value, a switch given a value, or a value its
+/// setter refuses.
+bool parse_flags(const std::vector<std::string>& args, const std::vector<const Flag*>& rows,
+                 Options& opts, std::vector<std::string>& positionals) {
+  const auto find = [&rows](const std::string& name) -> const Flag* {
+    for (const Flag* f : rows) {
+      if (name == f->name || (f->alias != nullptr && name == f->alias)) return f;
+    }
+    return nullptr;
+  };
+  for (std::size_t i = 0; i < args.size(); ++i) {
+    const std::string& arg = args[i];
+    if (arg.size() < 2 || arg[0] != '-') {
+      positionals.push_back(arg);
+      continue;
+    }
+    const std::size_t eq = arg[1] == '-' ? arg.find('=') : std::string::npos;
+    const std::string name = arg.substr(0, eq);
+    std::optional<std::string> value;
+    if (eq != std::string::npos) value = arg.substr(eq + 1);
+    const Flag* flag = find(name);
+    if (flag == nullptr && arg[1] != '-' && (flag = find(arg.substr(0, 2))) != nullptr) {
+      value = arg.substr(2);  // glued one-letter form: -j4
+    }
+    if (flag == nullptr) {
+      std::fprintf(stderr, "unknown flag '%s'\n", name.c_str());
+      return false;
+    }
+    if (*flag->metavar == '\0') {
+      if (value) {
+        std::fprintf(stderr, "%s takes no value\n", flag->name);
+        return false;
+      }
+      value.emplace();
+    } else {
+      if (!value && i + 1 < args.size()) value = args[++i];
+      if (!value || value->empty()) {
+        std::fprintf(stderr, "missing value for %s %s\n", flag->name, flag->metavar);
+        return false;
+      }
+    }
+    if (!flag->set(opts, *value)) {
+      std::fprintf(stderr, "invalid value '%s' for %s\n", value->c_str(), flag->name);
+      return false;
     }
   }
-  return false;
+  return true;
 }
 
 /// Populate the process registry from the builtins (unless --no-builtin)
 /// and every --file suite. Returns false after printing the error (a bad
 /// scenario file is an IO/usage problem, exit 2). Registered file-suite
 /// names land in `file_suites`.
-bool setup_registry(const CommonOptions& opts, std::vector<std::string>& file_suites) {
+bool setup_registry(const Options& opts, std::vector<std::string>& file_suites) {
   if (!opts.no_builtin) {
     register_builtin();
   } else if (opts.files.empty()) {
-    std::fprintf(stderr, "--no-builtin requires at least one --file\n");
+    std::fprintf(stderr, "%s requires at least one %s\n", kNoBuiltin.name, kFile.name);
     return false;
   }
   for (const std::string& path : opts.files) {
@@ -237,9 +272,7 @@ std::vector<const ScenarioSpec*> suites_selection(
   return out;
 }
 
-int cmd_list(const char* argv0, std::vector<std::string> args) {
-  CommonOptions opts;
-  if (!parse_common(args, opts) || has_unknown_flag(args)) return usage(argv0);
+int cmd_list(const char*, const Options& opts, const std::vector<std::string>& globs) {
   std::vector<std::string> file_suites;
   if (!setup_registry(opts, file_suites)) return 2;
 
@@ -248,11 +281,11 @@ int cmd_list(const char* argv0, std::vector<std::string> args) {
     const auto scenarios = reg.suite_scenarios(suite.name);
     std::vector<const ScenarioSpec*> shown;
     for (const ScenarioSpec* s : scenarios) {
-      if (args.empty()) {
+      if (globs.empty()) {
         shown.push_back(s);
         continue;
       }
-      for (const std::string& g : args) {
+      for (const std::string& g : globs) {
         if (glob_match(g, s->name)) {
           shown.push_back(s);
           break;
@@ -267,17 +300,15 @@ int cmd_list(const char* argv0, std::vector<std::string> args) {
   return 0;
 }
 
-int cmd_run(const char* argv0, std::vector<std::string> args) {
-  CommonOptions copts;
-  if (!parse_common(args, copts) || has_unknown_flag(args)) return usage(argv0);
+int cmd_run(const char* argv0, const Options& copts, const std::vector<std::string>& globs) {
   std::vector<std::string> file_suites;
   if (!setup_registry(copts, file_suites)) return 2;
-  if (args.empty() && file_suites.empty()) return usage(argv0);
+  if (globs.empty() && file_suites.empty()) return usage(argv0);
 
   const ScenarioRegistry& reg = ScenarioRegistry::instance();
   // With --file and no globs, the file's suites are the selection.
   const std::vector<const ScenarioSpec*> selection =
-      args.empty() ? suites_selection(reg, file_suites) : reg.select_all(args);
+      globs.empty() ? suites_selection(reg, file_suites) : reg.select_all(globs);
   if (selection.empty()) {
     std::fprintf(stderr, "no scenarios match\n");
     return 1;
@@ -323,37 +354,21 @@ int cmd_run(const char* argv0, std::vector<std::string> args) {
   return failed ? 1 : 0;
 }
 
-int cmd_emit(const char* argv0, std::vector<std::string> args) {
-  CommonOptions copts;
-  bool all = false;
-  std::string out_dir;
-  if (!parse_common(args, copts)) return usage(argv0);
-  std::vector<std::string> wanted;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    if (args[i] == "--all") {
-      all = true;
-    } else if (args[i] == "--out" || args[i] == "-o") {
-      if (i + 1 >= args.size()) return usage(argv0);
-      out_dir = args[++i];
-    } else if (args[i].rfind("--out=", 0) == 0) {
-      out_dir = args[i].substr(6);
-    } else {
-      wanted.push_back(args[i]);
-    }
-  }
-  if (out_dir.empty() || (all && !wanted.empty()) || has_unknown_flag(wanted)) {
+int cmd_emit(const char* argv0, const Options& copts, const std::vector<std::string>& wanted) {
+  if (copts.out.empty() || (copts.all && !wanted.empty())) {
+    std::fprintf(stderr, "emit needs %s and either %s or a selection\n", kOut.name, kAll.name);
     return usage(argv0);
   }
   std::vector<std::string> file_suites;
   if (!setup_registry(copts, file_suites)) return 2;
-  if (!all && wanted.empty() && file_suites.empty()) return usage(argv0);
+  if (!copts.all && wanted.empty() && file_suites.empty()) return usage(argv0);
 
   const ScenarioRegistry& reg = ScenarioRegistry::instance();
   // Resolve suite names/globs against the registry, keeping registration
   // order and deduplicating. With --file and no explicit selection, the
   // file's suites are emitted.
   std::vector<std::string> suites;
-  if (all) {
+  if (copts.all) {
     suites = default_emit_suites(reg);
   } else if (wanted.empty()) {
     suites = file_suites;
@@ -366,7 +381,7 @@ int cmd_emit(const char* argv0, std::vector<std::string> args) {
   }
 
   EmitOptions opts;
-  opts.out_dir = out_dir;
+  opts.out_dir = copts.out;
   opts.jobs = copts.jobs;
   opts.stepping = copts.stepping;
   opts.log = &std::cerr;
@@ -379,10 +394,11 @@ int cmd_emit(const char* argv0, std::vector<std::string> args) {
   return 0;
 }
 
-int cmd_validate(std::vector<std::string> args) {
-  if (args.empty()) args.emplace_back("-");  // gen | validate pipelines
+int cmd_validate(const char*, const Options&, const std::vector<std::string>& args) {
+  // No path reads stdin (gen | validate pipelines).
+  const std::vector<std::string> paths = args.empty() ? std::vector<std::string>{"-"} : args;
   int rc = 0;  // worst outcome wins: 2 (unreadable, IO) > 1 (invalid content)
-  for (const std::string& path : args) {
+  for (const std::string& path : paths) {
     const std::string source = path == "-" ? "<stdin>" : path;
     try {
       const LoadedSuite suite = load_suite_file(path);
@@ -399,170 +415,54 @@ int cmd_validate(std::vector<std::string> args) {
   return rc;
 }
 
-int cmd_gen(const char* argv0, std::vector<std::string> args) {
-  GenOptions opts;
-  std::string out_path;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    std::string value;
-    if (args[i] == "--seed" || args[i] == "--count" || args[i] == "--out") {
-      if (i + 1 >= args.size()) return usage(argv0);
-      value = args[i + 1];
-    } else if (args[i].rfind("--seed=", 0) == 0) {
-      value = args[i].substr(7);
-    } else if (args[i].rfind("--count=", 0) == 0) {
-      value = args[i].substr(8);
-    } else if (args[i].rfind("--out=", 0) == 0) {
-      value = args[i].substr(6);
-    } else {
-      return usage(argv0);
-    }
-    const bool is_seed = args[i].rfind("--seed", 0) == 0;
-    const bool is_count = args[i].rfind("--count", 0) == 0;
-    if (args[i].find('=') == std::string::npos) ++i;
-    if (is_seed || is_count) {
-      // Strict: seed-exact reproducibility cannot survive a wrapped "-1" or
-      // a value cut short at trailing junk ("20x").
-      std::size_t parsed = 0;
-      if (!parse_size(value, parsed)) return usage(argv0);
-      if (is_seed) {
-        opts.seed = parsed;
-      } else if (parsed > std::numeric_limits<unsigned>::max()) {
-        return usage(argv0);
-      } else {
-        opts.count = static_cast<unsigned>(parsed);
-      }
-    } else {
-      // `--out=` with an empty value (e.g. an unset shell variable) must
-      // not silently fall back to stdout, matching emit's --out handling.
-      if (value.empty()) return usage(argv0);
-      out_path = value;
-    }
-  }
-  if (opts.count == 0) return usage(argv0);
-  if (opts.count > kMaxScenariosPerSuite) {
-    std::fprintf(stderr, "gen: --count is capped at %zu scenarios per suite\n",
+int cmd_gen(const char* argv0, const Options& opts, const std::vector<std::string>& args) {
+  if (!args.empty()) return usage(argv0);
+  if (opts.gen.count > kMaxScenariosPerSuite) {
+    std::fprintf(stderr, "gen: %s is capped at %zu scenarios per suite\n", kCount.name,
                  kMaxScenariosPerSuite);
     return 2;
   }
 
   std::string text;
   try {
-    text = generate_suite(opts).dump();
+    text = generate_suite(opts.gen).dump();
   } catch (const std::exception& e) {
     std::fprintf(stderr, "gen: internal error: %s\n", e.what());
     return 2;
   }
-  if (out_path.empty()) {
+  if (opts.out.empty()) {
     std::fputs(text.c_str(), stdout);
     return 0;
   }
-  std::ofstream out(out_path, std::ios::binary);
+  std::ofstream out(opts.out, std::ios::binary);
   if (!out) {
-    std::fprintf(stderr, "gen: cannot open %s for writing\n", out_path.c_str());
+    std::fprintf(stderr, "gen: cannot open %s for writing\n", opts.out.c_str());
     return 2;
   }
   out << text;
   out.flush();  // surface a full-disk/IO failure before the exit code
   if (!out.good()) {
-    std::fprintf(stderr, "gen: write to %s failed\n", out_path.c_str());
+    std::fprintf(stderr, "gen: write to %s failed\n", opts.out.c_str());
     return 2;
   }
   return 0;
 }
 
-int cmd_explore(const char* argv0, std::vector<std::string> args) {
-  CommonOptions copts;
-  if (!parse_common(args, copts)) return usage(argv0);
+int cmd_explore(const char* argv0, const Options& opts, const std::vector<std::string>& args) {
+  // The search space is one suite file: either a positional path (`-` is
+  // stdin) or --file, but not both — explore does not span suites.
+  std::vector<std::string> paths = args;
+  paths.insert(paths.end(), opts.files.begin(), opts.files.end());
+  if (paths.size() != 1) return usage(argv0);
 
-  explore::ExploreOptions eopts;
-  eopts.jobs = copts.jobs;
-  eopts.stepping = copts.stepping;
+  explore::ExploreOptions eopts = opts.explore;
+  eopts.jobs = opts.jobs;
+  eopts.stepping = opts.stepping;
   eopts.log = &std::cerr;
-  std::string report_path;
-  std::vector<std::string> rest;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    std::string value;
-    enum class Want { kObjective, kAreaCap, kBudget, kCache, kReport, kFailAfter } want;
-    if (args[i] == "--no-prune") {
-      eopts.prune = false;
-      continue;
-    } else if (args[i] == "--objective") {
-      want = Want::kObjective;
-    } else if (args[i] == "--area-cap") {
-      want = Want::kAreaCap;
-    } else if (args[i] == "--budget") {
-      want = Want::kBudget;
-    } else if (args[i] == "--cache") {
-      want = Want::kCache;
-    } else if (args[i] == "--report") {
-      want = Want::kReport;
-    } else if (args[i] == "--fail-after") {
-      want = Want::kFailAfter;
-    } else if (args[i].rfind("--", 0) == 0 &&
-               args[i].find('=') != std::string::npos) {
-      const std::string flag = args[i].substr(0, args[i].find('='));
-      value = args[i].substr(args[i].find('=') + 1);
-      if (flag == "--objective") want = Want::kObjective;
-      else if (flag == "--area-cap") want = Want::kAreaCap;
-      else if (flag == "--budget") want = Want::kBudget;
-      else if (flag == "--cache") want = Want::kCache;
-      else if (flag == "--report") want = Want::kReport;
-      else if (flag == "--fail-after") want = Want::kFailAfter;
-      else {
-        rest.push_back(args[i]);  // unknown flag: named below
-        continue;
-      }
-    } else {
-      rest.push_back(args[i]);
-      continue;
-    }
-    if (value.empty()) {
-      if (args[i].find('=') == std::string::npos) {
-        if (i + 1 >= args.size()) return usage(argv0);
-        value = args[++i];
-      }
-      if (value.empty()) return usage(argv0);  // --flag= with nothing after
-    }
-    switch (want) {
-      case Want::kObjective:
-        try {
-          eopts.objective.kind = explore::objective_by_name(value);
-        } catch (const std::invalid_argument& e) {
-          std::fprintf(stderr, "explore: %s\n", e.what());
-          return 2;
-        }
-        break;
-      case Want::kAreaCap:
-        try {
-          std::size_t pos = 0;
-          eopts.objective.area_cap_mge = std::stod(value, &pos);
-          if (pos != value.size() || eopts.objective.area_cap_mge <= 0.0) {
-            return usage(argv0);
-          }
-        } catch (const std::exception&) {
-          return usage(argv0);
-        }
-        break;
-      case Want::kBudget:
-        if (!parse_size(value, eopts.budget)) return usage(argv0);
-        break;
-      case Want::kCache: eopts.cache_path = value; break;
-      case Want::kReport: report_path = value; break;
-      case Want::kFailAfter:
-        if (!parse_size(value, eopts.fail_after)) return usage(argv0);
-        break;
-    }
-  }
-  // A lone "-" is the suite read from stdin, not a flag.
-  if (rest != std::vector<std::string>{"-"} && has_unknown_flag(rest)) return usage(argv0);
-  // The search space is one suite file: either a positional path or --file
-  // (but not both, and exactly one — explore does not span suites).
-  for (const std::string& f : copts.files) rest.push_back(f);
-  if (rest.size() != 1 || copts.no_builtin) return usage(argv0);
 
   LoadedSuite suite;
   try {
-    suite = load_suite_file(rest[0]);
+    suite = load_suite_file(paths[0]);
   } catch (const ScenarioFileIoError& e) {
     std::fprintf(stderr, "%s\n", e.what());
     return 2;
@@ -596,16 +496,16 @@ int cmd_explore(const char* argv0, std::vector<std::string> args) {
       outcome.cache_hits, outcome.simulations, outcome.failures,
       outcome.frontier.size(), outcome.budget_exhausted ? 1 : 0);
 
-  if (!report_path.empty()) {
-    std::ofstream out(report_path, std::ios::binary);
+  if (!opts.report.empty()) {
+    std::ofstream out(opts.report, std::ios::binary);
     if (!out) {
-      std::fprintf(stderr, "explore: cannot open %s for writing\n", report_path.c_str());
+      std::fprintf(stderr, "explore: cannot open %s for writing\n", opts.report.c_str());
       return 2;
     }
     out << explore::report_json(suite, eopts, outcome).dump();
     out.flush();
     if (!out.good()) {
-      std::fprintf(stderr, "explore: write to %s failed\n", report_path.c_str());
+      std::fprintf(stderr, "explore: write to %s failed\n", opts.report.c_str());
       return 2;
     }
   }
@@ -613,17 +513,85 @@ int cmd_explore(const char* argv0, std::vector<std::string> args) {
   return outcome.failures > 0 ? 1 : 0;
 }
 
+/// A subcommand lists exactly the flags it reads; any other is refused.
+struct Subcommand {
+  const char* name;
+  std::vector<const Flag*> flags;
+  const char* operands;  // positional synopsis
+  int (*run)(const char* argv0, const Options& opts, const std::vector<std::string>& args);
+};
+
+const Subcommand kSubcommands[] = {
+    {"list", {&kFile, &kNoBuiltin}, "[glob...]", cmd_list},
+    {"run", {&kJobs, &kStepping, &kFile, &kNoBuiltin}, "[glob...]", cmd_run},
+    {"emit", {&kJobs, &kStepping, &kFile, &kNoBuiltin, &kOut, &kAll}, "[suite|glob...]",
+     cmd_emit},
+    {"validate", {}, "[file...|-]", cmd_validate},
+    {"gen", {&kSeed, &kCount, &kOut}, "", cmd_gen},
+    {"explore",
+     {&kJobs, &kStepping, &kFile, &kObjective, &kAreaCap, &kBudget, &kCache, &kNoPrune,
+      &kReport, &kFailAfter},
+     "<suite.json>", cmd_explore},
+};
+
+int usage(const char* argv0) {
+  std::string text;
+  for (const Subcommand& sub : kSubcommands) {
+    std::string line = text.empty() ? "usage: " : "       ";
+    line += argv0;
+    line += ' ';
+    line += sub.name;
+    std::vector<std::string> words;
+    for (const Flag* f : sub.flags) {
+      std::string word = "[";
+      word += f->name;
+      if (*f->metavar != '\0') {
+        word += ' ';
+        word += f->metavar;
+      }
+      words.push_back(word + "]");
+    }
+    if (*sub.operands != '\0') words.emplace_back(sub.operands);
+    for (const std::string& word : words) {
+      if (line.size() + 1 + word.size() > 80) {
+        text += line + "\n";
+        line = "           ";
+      }
+      line += ' ';
+      line += word;
+    }
+    text += line + "\n";
+  }
+  std::fprintf(
+      stderr,
+      "%s"
+      "\n"
+      "  --stepping M   time advance per cluster: event (skip quiet spans,\n"
+      "                 default), cycle (reference loop), check (skip decisions\n"
+      "                 verified cycle-by-cycle). All modes are bit-identical.\n"
+      "\n"
+      "  Scenarios may scale out with a \"system\" block (N clusters over a\n"
+      "  modeled L2/NoC with inter-cluster DMA bursts); its barrier_kind is\n"
+      "  one of: central, tree, butterfly, and its dma_words must fit the\n"
+      "  cluster TCDM (banks x bank_words — `validate` names the offending\n"
+      "  cluster config and the resolved capacity). `gen` emits such points\n"
+      "  too.\n",
+      text.c_str());
+  return 2;
+}
+
 int main_impl(int argc, char** argv) {
   if (argc < 2) return usage(argv[0]);
   const std::string cmd = argv[1];
-  std::vector<std::string> args(argv + 2, argv + argc);
-
-  if (cmd == "list") return cmd_list(argv[0], std::move(args));
-  if (cmd == "run") return cmd_run(argv[0], std::move(args));
-  if (cmd == "emit") return cmd_emit(argv[0], std::move(args));
-  if (cmd == "validate") return cmd_validate(std::move(args));
-  if (cmd == "gen") return cmd_gen(argv[0], std::move(args));
-  if (cmd == "explore") return cmd_explore(argv[0], std::move(args));
+  for (const Subcommand& sub : kSubcommands) {
+    if (cmd != sub.name) continue;
+    Options opts;
+    std::vector<std::string> positionals;
+    if (!parse_flags({argv + 2, argv + argc}, sub.flags, opts, positionals)) {
+      return usage(argv[0]);
+    }
+    return sub.run(argv[0], opts, positionals);
+  }
   std::fprintf(stderr, "unknown subcommand '%s'\n", cmd.c_str());
   return usage(argv[0]);
 }
