@@ -3,16 +3,11 @@
 // All sweeps and sizes match the original per-binary benches.
 #include <cstdio>
 #include <iostream>
-#include <memory>
-#include <utility>
 #include <vector>
 
 #include "src/analytics/bandwidth_model.hpp"
 #include "src/analytics/report.hpp"
-#include "src/kernels/dotp.hpp"
-#include "src/kernels/probes.hpp"
-#include "src/kernels/transpose.hpp"
-#include "src/scenario/builtin.hpp"
+#include "src/scenario/builtin_suites.hpp"
 
 namespace tcdm::scenario {
 namespace builtin {
@@ -43,40 +38,28 @@ void print_ablation_burst(const ResultSet& rs) {
               delta(static_cast<double>(mb.cycles) / mg.cycles - 1.0).c_str());
 }
 
-void register_ablation_burst(ScenarioRegistry& reg) {
-  SuiteSpec suite;
-  suite.name = "ablation_burst";
-  suite.description =
-      "Ablation: max burst length cap (MP4Spatz4-GF4 random probe) and "
-      "burst-eligible vs ineligible access patterns (memcpy baseline vs GF4)";
-  suite.print = print_ablation_burst;
-  reg.add_suite(std::move(suite));
-
-  for (unsigned cap : {2u, 3u, 4u}) {
-    ScenarioSpec s;
-    s.name = "ablation_burst/maxlen" + std::to_string(cap);
-    s.config = [cap] {
-      ClusterConfig cfg = ClusterConfig::mp4spatz4().with_burst(4);
-      cfg.max_burst_len = cap;
-      return cfg;
-    };
-    s.kernel = [] { return std::make_unique<RandomProbeKernel>(256); };
-    s.opts.verify = false;
-    s.opts.max_cycles = 10'000'000;
-    reg.add(std::move(s));
-  }
-  for (unsigned gf : {0u, 4u}) {
-    ScenarioSpec s;
-    s.name = std::string("ablation_burst/memcpy/") + (gf ? "gf4" : "baseline");
-    s.config = [gf] {
-      ClusterConfig cfg = ClusterConfig::mp4spatz4();
-      return gf ? cfg.with_burst(gf) : cfg;
-    };
-    s.kernel = [] { return std::make_unique<MemcpyKernel>(4096); };
-    s.opts.max_cycles = 10'000'000;
-    reg.add(std::move(s));
-  }
-}
+constexpr const char* kAblationBurst = R"json({
+  "schema": "tcdm-scenarios",
+  "schema_version": 1,
+  "suite": "ablation_burst",
+  "description": "Ablation: max burst length cap (MP4Spatz4-GF4 random probe) and burst-eligible vs ineligible access patterns (memcpy baseline vs GF4)",
+  "scenarios": [
+    {
+      "name": "maxlen{cap}",
+      "sweep": {"cap": [2, 3, 4]},
+      "config": {"preset": "mp4spatz4", "burst": {"gf": 4, "max_burst_len": "{cap}"}},
+      "kernel": {"kind": "random_probe", "iters": 256},
+      "options": {"verify": false, "max_cycles": 10000000}
+    },
+    {
+      "name": "memcpy/{variant.label}",
+      "sweep": {"variant": [{"label": "baseline", "gf": 0}, {"label": "gf4", "gf": 4}]},
+      "config": {"preset": "mp4spatz4", "burst": {"gf": "{variant.gf}"}},
+      "kernel": {"kind": "memcpy", "n": 4096},
+      "options": {"max_cycles": 10000000}
+    }
+  ]
+})json";
 
 // --------------------------------------------------------- ablation_gf ----
 
@@ -100,35 +83,28 @@ void print_ablation_gf(const ResultSet& rs) {
               "response channels cannot carry more than one burst's words per beat.\n");
 }
 
-void register_ablation_gf(ScenarioRegistry& reg) {
-  SuiteSpec suite;
-  suite.name = "ablation_gf";
-  suite.description =
-      "Ablation: grouping-factor sweep beyond the paper's GF2/GF4 on "
-      "MP64Spatz4 — analytical saturation at GF == K and its simulated track";
-  suite.print = print_ablation_gf;
-  reg.add_suite(std::move(suite));
-
-  for (const bool dotp : {false, true}) {
-    for (unsigned gf : {0u, 2u, 4u, 8u}) {
-      ScenarioSpec s;
-      s.name = std::string("ablation_gf/") + (dotp ? "dotp" : "probe") + "/gf" +
-               std::to_string(gf);
-      s.config = [gf] {
-        ClusterConfig cfg = ClusterConfig::mp64spatz4();
-        return gf > 0 ? cfg.with_burst(gf) : cfg;
-      };
-      s.opts.max_cycles = 10'000'000;
-      if (dotp) {
-        s.kernel = [] { return std::make_unique<DotpKernel>(65536); };
-      } else {
-        s.kernel = [] { return std::make_unique<RandomProbeKernel>(128); };
-        s.opts.verify = false;
-      }
-      reg.add(std::move(s));
+constexpr const char* kAblationGf = R"json({
+  "schema": "tcdm-scenarios",
+  "schema_version": 1,
+  "suite": "ablation_gf",
+  "description": "Ablation: grouping-factor sweep beyond the paper's GF2/GF4 on MP64Spatz4 — analytical saturation at GF == K and its simulated track",
+  "scenarios": [
+    {
+      "name": "probe/gf{gf}",
+      "sweep": {"gf": [0, 2, 4, 8]},
+      "config": {"preset": "mp64spatz4", "burst": {"gf": "{gf}"}},
+      "kernel": {"kind": "random_probe", "iters": 128},
+      "options": {"verify": false, "max_cycles": 10000000}
+    },
+    {
+      "name": "dotp/gf{gf}",
+      "sweep": {"gf": [0, 2, 4, 8]},
+      "config": {"preset": "mp64spatz4", "burst": {"gf": "{gf}"}},
+      "kernel": {"kind": "dotp", "n": 65536},
+      "options": {"max_cycles": 10000000}
     }
-  }
-}
+  ]
+})json";
 
 // -------------------------------------------------------- ablation_rob ----
 
@@ -145,35 +121,36 @@ void print_ablation_rob(const ResultSet& rs) {
               "response bandwidth busy — the reason the paper doubles the ROB.\n");
 }
 
-void register_ablation_rob(ScenarioRegistry& reg) {
-  SuiteSpec suite;
-  suite.name = "ablation_rob";
-  suite.description =
-      "Ablation: per-port ROB depth sweep (latency tolerance) for baseline "
-      "and GF4 on MP64Spatz4";
-  suite.print = print_ablation_rob;
-  reg.add_suite(std::move(suite));
-
-  for (unsigned rob : {4u, 8u, 16u, 32u}) {
-    for (unsigned gf : {0u, 4u}) {
-      ScenarioSpec s;
-      s.name = "ablation_rob/rob" + std::to_string(rob) + "/gf" + std::to_string(gf);
-      s.config = [rob, gf] {
-        ClusterConfig cfg = ClusterConfig::mp64spatz4();
-        if (gf > 0) cfg = cfg.with_burst(gf);
-        cfg.rob_depth = rob;  // override (with_burst already doubled the default)
-        return cfg;
-      };
-      s.kernel = [] { return std::make_unique<RandomProbeKernel>(128); };
-      s.opts.verify = false;
-      s.opts.max_cycles = 10'000'000;
-      reg.add(std::move(s));
+// The burst block doubles the ROB depth (paper §III-A), so the GF4
+// template gives the pre-burst depth: half the depth in the name.
+constexpr const char* kAblationRob = R"json({
+  "schema": "tcdm-scenarios",
+  "schema_version": 1,
+  "suite": "ablation_rob",
+  "description": "Ablation: per-port ROB depth sweep (latency tolerance) for baseline and GF4 on MP64Spatz4",
+  "scenarios": [
+    {
+      "name": "rob{rob}/gf0",
+      "sweep": {"rob": [4, 8, 16, 32]},
+      "config": {"preset": "mp64spatz4", "rob_depth": "{rob}"},
+      "kernel": {"kind": "random_probe", "iters": 128},
+      "options": {"verify": false, "max_cycles": 10000000}
+    },
+    {
+      "name": "rob{rob.depth}/gf4",
+      "sweep": {"rob": [{"depth": 4, "pre_burst": 2}, {"depth": 8, "pre_burst": 4},
+                        {"depth": 16, "pre_burst": 8}, {"depth": 32, "pre_burst": 16}]},
+      "config": {"preset": "mp64spatz4", "rob_depth": "{rob.pre_burst}",
+                 "burst": {"gf": 4}},
+      "kernel": {"kind": "random_probe", "iters": 128},
+      "options": {"verify": false, "max_cycles": 10000000}
     }
-  }
-}
+  ]
+})json";
 
 // ------------------------------------------------------ ablation_store ----
 
+// The document's problem sizes, for the printer's heading.
 constexpr unsigned kStoreCopyElems = 16384;
 constexpr unsigned kStoreTransposeN = 128;
 
@@ -206,38 +183,34 @@ void print_ablation_store(const ResultSet& rs) {
       "Transpose's strided stores never coalesce in any configuration.\n");
 }
 
-void register_ablation_store(ScenarioRegistry& reg) {
-  SuiteSpec suite;
-  suite.name = "ablation_store";
-  suite.description =
-      "Ablation: store-burst extension on MP64Spatz4-GF4 — narrow vs "
-      "widened request channel, unit-stride (memcpy) vs strided (transpose) "
-      "stores";
-  suite.print = print_ablation_store;
-  reg.add_suite(std::move(suite));
-
-  for (const bool transpose : {false, true}) {
-    for (unsigned req_gf : {0u, 1u, 2u, 4u}) {
-      ScenarioSpec s;
-      s.name = std::string("ablation_store/") + (transpose ? "transpose" : "memcpy") +
-               "/st" + std::to_string(req_gf);
-      s.config = [req_gf] {
-        ClusterConfig cfg = ClusterConfig::mp64spatz4().with_burst(4);
-        return req_gf > 0 ? cfg.with_store_bursts(req_gf) : cfg;
-      };
-      if (transpose) {
-        s.kernel = [] { return std::make_unique<TransposeKernel>(kStoreTransposeN); };
-      } else {
-        s.kernel = [] { return std::make_unique<MemcpyKernel>(kStoreCopyElems); };
-      }
-      s.opts.max_cycles = 20'000'000;
-      reg.add(std::move(s));
+constexpr const char* kAblationStore = R"json({
+  "schema": "tcdm-scenarios",
+  "schema_version": 1,
+  "suite": "ablation_store",
+  "description": "Ablation: store-burst extension on MP64Spatz4-GF4 — narrow vs widened request channel, unit-stride (memcpy) vs strided (transpose) stores",
+  "scenarios": [
+    {
+      "name": "{kernel.label}/{variant.label}",
+      "sweep": {
+        "kernel": [{"label": "memcpy", "spec": {"kind": "memcpy", "n": 16384}},
+                   {"label": "transpose", "spec": {"kind": "transpose", "n": 128}}],
+        "variant": [
+          {"label": "st0", "burst": {"gf": 4}},
+          {"label": "st1", "burst": {"gf": 4, "store_req_gf": 1}},
+          {"label": "st2", "burst": {"gf": 4, "store_req_gf": 2}},
+          {"label": "st4", "burst": {"gf": 4, "store_req_gf": 4}}
+        ]
+      },
+      "config": {"preset": "mp64spatz4", "burst": "{variant.burst}"},
+      "kernel": "{kernel.spec}",
+      "options": {"max_cycles": 20000000}
     }
-  }
-}
+  ]
+})json";
 
 // ----------------------------------------------------- ablation_stride ----
 
+// The document's copy length, for the printer's heading.
 constexpr unsigned kStrideElems = 8192;
 
 void print_ablation_stride(const ResultSet& rs) {
@@ -269,41 +242,39 @@ void print_ablation_stride(const ResultSet& rs) {
       "tile and the extension correctly degrades to narrow behaviour.\n");
 }
 
-void register_ablation_stride(ScenarioRegistry& reg) {
-  SuiteSpec suite;
-  suite.name = "ablation_stride";
-  suite.description =
-      "Ablation: strided-burst extension (future work beyond paper §II-C) — "
-      "strided-copy stride sweep on MP64Spatz4, baseline / GF4 / GF4+strided";
-  suite.print = print_ablation_stride;
-  reg.add_suite(std::move(suite));
-
-  for (unsigned stride : {1u, 2u, 3u, 4u, 8u}) {
-    for (int mode : {0, 1, 2}) {
-      ScenarioSpec s;
-      const char* tag = mode == 0 ? "base" : (mode == 1 ? "gf4" : "gf4sb");
-      s.name = "ablation_stride/s" + std::to_string(stride) + "/" + tag;
-      s.config = [mode] {
-        ClusterConfig cfg = ClusterConfig::mp64spatz4();
-        if (mode >= 1) cfg = cfg.with_burst(4);
-        if (mode == 2) cfg = cfg.with_strided_bursts();
-        return cfg;
-      };
-      s.kernel = [stride] { return std::make_unique<StridedCopyKernel>(kStrideElems, stride); };
-      s.opts.max_cycles = 20'000'000;
-      reg.add(std::move(s));
+constexpr const char* kAblationStride = R"json({
+  "schema": "tcdm-scenarios",
+  "schema_version": 1,
+  "suite": "ablation_stride",
+  "description": "Ablation: strided-burst extension (future work beyond paper §II-C) — strided-copy stride sweep on MP64Spatz4, baseline / GF4 / GF4+strided",
+  "scenarios": [
+    {
+      "name": "s{stride}/{variant.label}",
+      "sweep": {
+        "stride": [1, 2, 3, 4, 8],
+        "variant": [
+          {"label": "base", "burst": {"gf": 0}},
+          {"label": "gf4", "burst": {"gf": 4}},
+          {"label": "gf4sb", "burst": {"gf": 4, "strided": true}}
+        ]
+      },
+      "config": {"preset": "mp64spatz4", "burst": "{variant.burst}"},
+      "kernel": {"kind": "strided_copy", "n": 8192, "stride_words": "{stride}"},
+      "options": {"max_cycles": 20000000}
     }
-  }
-}
+  ]
+})json";
 
 }  // namespace
 
-void register_ablations(ScenarioRegistry& reg) {
-  register_ablation_burst(reg);
-  register_ablation_gf(reg);
-  register_ablation_rob(reg);
-  register_ablation_store(reg);
-  register_ablation_stride(reg);
+std::vector<Suite> ablation_suites() {
+  return {
+      {.document = kAblationBurst, .print = print_ablation_burst},
+      {.document = kAblationGf, .print = print_ablation_gf},
+      {.document = kAblationRob, .print = print_ablation_rob},
+      {.document = kAblationStore, .print = print_ablation_store},
+      {.document = kAblationStride, .print = print_ablation_stride},
+  };
 }
 
 }  // namespace builtin

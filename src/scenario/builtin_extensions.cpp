@@ -5,54 +5,17 @@
 // out of default emission: they are exploration tools, not gated claims.
 #include <cstdio>
 #include <iostream>
-#include <memory>
-#include <utility>
 #include <vector>
 
 #include "src/analytics/area_model.hpp"
 #include "src/analytics/report.hpp"
-#include "src/kernels/conv2d.hpp"
-#include "src/kernels/dotp.hpp"
-#include "src/kernels/gemv.hpp"
-#include "src/kernels/maxpool.hpp"
-#include "src/kernels/probes.hpp"
-#include "src/kernels/relu.hpp"
-#include "src/kernels/stencil.hpp"
-#include "src/kernels/trace_replay.hpp"
-#include "src/kernels/transpose.hpp"
-#include "src/scenario/builtin.hpp"
+#include "src/scenario/builtin_suites.hpp"
 
 namespace tcdm::scenario {
 namespace builtin {
 namespace {
 
 // -------------------------------------------------------- ext_kernels -----
-
-std::unique_ptr<Kernel> make_ext_kernel(const std::string& name, bool big) {
-  if (name == "gemv") {
-    // A must fit TCDM: 256x512 fp32 = 512 KiB of MP64's 1 MiB; 32x128 =
-    // 16 KiB of MP4's 64 KiB.
-    return big ? std::make_unique<GemvKernel>(256, 512)
-               : std::make_unique<GemvKernel>(32, 128);
-  }
-  if (name == "conv2d") {
-    return big ? std::make_unique<Conv2dKernel>(130, 130)
-               : std::make_unique<Conv2dKernel>(34, 66);
-  }
-  if (name == "jacobi2d") {
-    return big ? std::make_unique<Jacobi2dKernel>(130, 130)
-               : std::make_unique<Jacobi2dKernel>(34, 66);
-  }
-  if (name == "relu") {
-    return big ? std::make_unique<ReluKernel>(65536) : std::make_unique<ReluKernel>(4096);
-  }
-  if (name == "maxpool2x2") {
-    return big ? std::make_unique<MaxPoolKernel>(64, 128)
-               : std::make_unique<MaxPoolKernel>(16, 48);
-  }
-  return big ? std::make_unique<TransposeKernel>(128)
-             : std::make_unique<TransposeKernel>(48);
-}
 
 const std::vector<std::string>& ext_kernels() {
   static const std::vector<std::string> k = {"gemv",     "conv2d",     "jacobi2d",
@@ -87,38 +50,58 @@ void print_ext_kernels(const ResultSet& rs) {
       "(loads burst, strided stores serialize unchanged).\n");
 }
 
-void register_ext_kernels(ScenarioRegistry& reg) {
-  SuiteSpec suite;
-  suite.name = "ext_kernels";
-  suite.description =
-      "Extension kernels (GEMV, Conv2D, Jacobi2D, ReLU, MaxPool, Transpose) "
-      "on MP4Spatz4 and MP64Spatz4, baseline vs GF4 — the memory-bound "
-      "roofline region the paper does not evaluate";
-  suite.print = print_ext_kernels;
-  reg.add_suite(std::move(suite));
-
-  for (const std::string& kernel : ext_kernels()) {
-    for (const bool big : {false, true}) {
-      for (const bool burst : {false, true}) {
-        ScenarioSpec s;
-        s.name = "ext_kernels/" + kernel + (big ? "/mp64" : "/mp4") +
-                 (burst ? "/gf4" : "/base");
-        s.config = [big, burst] {
-          ClusterConfig cfg =
-              big ? ClusterConfig::mp64spatz4() : ClusterConfig::mp4spatz4();
-          return burst ? cfg.with_burst(4) : cfg;
-        };
-        s.kernel = [kernel, big] { return make_ext_kernel(kernel, big); };
-        s.opts.max_cycles = 20'000'000;
-        reg.add(std::move(s));
-      }
+// One template per testbed: the sizes scale with its TCDM. GEMV's A must
+// fit: 256x512 fp32 = 512 KiB of MP64's 1 MiB; 32x128 = 16 KiB of MP4's
+// 64 KiB.
+constexpr const char* kExtKernels = R"json({
+  "schema": "tcdm-scenarios",
+  "schema_version": 1,
+  "suite": "ext_kernels",
+  "description": "Extension kernels (GEMV, Conv2D, Jacobi2D, ReLU, MaxPool, Transpose) on MP4Spatz4 and MP64Spatz4, baseline vs GF4 — the memory-bound roofline region the paper does not evaluate",
+  "scenarios": [
+    {
+      "name": "{kernel.label}/mp4/{variant.label}",
+      "sweep": {
+        "kernel": [
+          {"label": "gemv", "spec": {"kind": "gemv", "m": 32, "n": 128}},
+          {"label": "conv2d", "spec": {"kind": "conv2d", "h": 34, "w": 66}},
+          {"label": "jacobi2d", "spec": {"kind": "jacobi2d", "h": 34, "w": 66}},
+          {"label": "relu", "spec": {"kind": "relu", "n": 4096}},
+          {"label": "maxpool2x2", "spec": {"kind": "maxpool2x2", "h": 16, "w": 48}},
+          {"label": "transpose", "spec": {"kind": "transpose", "n": 48}}
+        ],
+        "variant": [{"label": "base", "gf": 0}, {"label": "gf4", "gf": 4}]
+      },
+      "config": {"preset": "mp4spatz4", "burst": {"gf": "{variant.gf}"}},
+      "kernel": "{kernel.spec}",
+      "options": {"max_cycles": 20000000}
+    },
+    {
+      "name": "{kernel.label}/mp64/{variant.label}",
+      "sweep": {
+        "kernel": [
+          {"label": "gemv", "spec": {"kind": "gemv", "m": 256, "n": 512}},
+          {"label": "conv2d", "spec": {"kind": "conv2d", "h": 130, "w": 130}},
+          {"label": "jacobi2d", "spec": {"kind": "jacobi2d", "h": 130, "w": 130}},
+          {"label": "relu", "spec": {"kind": "relu", "n": 65536}},
+          {"label": "maxpool2x2", "spec": {"kind": "maxpool2x2", "h": 64, "w": 128}},
+          {"label": "transpose", "spec": {"kind": "transpose", "n": 128}}
+        ],
+        "variant": [{"label": "base", "gf": 0}, {"label": "gf4", "gf": 4}]
+      },
+      "config": {"preset": "mp64spatz4", "burst": {"gf": "{variant.gf}"}},
+      "kernel": "{kernel.spec}",
+      "options": {"max_cycles": 20000000}
     }
-  }
-}
+  ]
+})json";
 
 // ----------------------------------------------------- pareto_area_bw -----
 
-const std::vector<std::string>& pareto_presets() { return testbed_presets(); }
+const std::vector<std::string>& pareto_presets() {
+  static const std::vector<std::string> p = {"mp4spatz4", "mp64spatz4", "mp128spatz8"};
+  return p;
+}
 
 void print_pareto(const ResultSet& rs) {
   std::printf("\n=== Ablation: area vs bandwidth Pareto across grouping factors ===\n");
@@ -154,58 +137,34 @@ void print_pareto(const ResultSet& rs) {
       "fidelity limit of the substitution (DESIGN.md section 1).\n");
 }
 
-void register_pareto(ScenarioRegistry& reg) {
-  SuiteSpec suite;
-  suite.name = "pareto_area_bw";
-  suite.description =
-      "Ablation: area-bandwidth Pareto front across grouping factors — "
-      "random-probe bandwidth vs modeled logic area per cluster scale";
-  suite.emit_model = [](metrics::MetricsDoc& doc) {
-    for (const std::string& preset : pareto_presets()) {
-      const ClusterConfig base_cfg = ClusterConfig::by_name(preset);
-      for (unsigned gf : {0u, 2u, 4u, 8u}) {
-        const ClusterConfig cfg = gf == 0 ? base_cfg : base_cfg.with_burst(gf);
-        doc.add(preset + "/gf" + std::to_string(gf) + "/model/area_mge",
-                estimate_area(cfg).total() / 1e6, metrics::kModelRelTol);
-      }
+constexpr const char* kPareto = R"json({
+  "schema": "tcdm-scenarios",
+  "schema_version": 1,
+  "suite": "pareto_area_bw",
+  "description": "Ablation: area-bandwidth Pareto front across grouping factors — random-probe bandwidth vs modeled logic area per cluster scale",
+  "scenarios": [
+    {
+      "name": "{preset}/gf{gf}",
+      "sweep": {"preset": ["mp4spatz4", "mp64spatz4", "mp128spatz8"], "gf": [0, 2, 4, 8]},
+      "config": {"preset": "{preset}", "burst": {"gf": "{gf}"}},
+      "kernel": {"kind": "random_probe"},
+      "options": {"verify": false, "max_cycles": 10000000}
     }
-  };
-  suite.print = print_pareto;
-  reg.add_suite(std::move(suite));
+  ]
+})json";
 
+void pareto_model(metrics::MetricsDoc& doc) {
   for (const std::string& preset : pareto_presets()) {
+    const ClusterConfig base_cfg = ClusterConfig::by_name(preset);
     for (unsigned gf : {0u, 2u, 4u, 8u}) {
-      ScenarioSpec s;
-      s.name = "pareto_area_bw/" + preset + "/gf" + std::to_string(gf);
-      s.config = [preset, gf] {
-        ClusterConfig cfg = ClusterConfig::by_name(preset);
-        return gf > 0 ? cfg.with_burst(gf) : cfg;
-      };
-      s.kernel = [preset, gf] {
-        ClusterConfig cfg = ClusterConfig::by_name(preset);
-        if (gf > 0) cfg = cfg.with_burst(gf);
-        return std::make_unique<RandomProbeKernel>(probe_iters(cfg));
-      };
-      s.opts.verify = false;
-      s.opts.max_cycles = 10'000'000;
-      reg.add(std::move(s));
+      const ClusterConfig cfg = gf == 0 ? base_cfg : base_cfg.with_burst(gf);
+      doc.add(preset + "/gf" + std::to_string(gf) + "/model/area_mge",
+              estimate_area(cfg).total() / 1e6, metrics::kModelRelTol);
     }
   }
 }
 
 // ----------------------------------------------------- trace_patterns -----
-
-struct PatternCase {
-  const char* name;
-  TracePattern pattern;
-};
-
-constexpr PatternCase kTracePatterns[] = {
-    {"local", TracePattern::kLocal},
-    {"neighbor", TracePattern::kNeighbor},
-    {"uniform", TracePattern::kUniform},
-    {"hotspot", TracePattern::kHotspot},
-};
 
 void print_trace_patterns(const ResultSet& rs) {
   std::printf(
@@ -213,10 +172,10 @@ void print_trace_patterns(const ResultSet& rs) {
       "accesses/hart) ===\n");
   TableWriter tw({"pattern", "base BW [B/cyc/core]", "GF4 BW [B/cyc/core]",
                   "burst gain", "base cycles", "GF4 cycles"});
-  for (const PatternCase& pc : kTracePatterns) {
-    const KernelMetrics& b = rs.metrics(std::string(pc.name) + "/base");
-    const KernelMetrics& g = rs.metrics(std::string(pc.name) + "/gf4");
-    tw.add_row({pc.name, fmt(b.bw_per_core), fmt(g.bw_per_core),
+  for (const std::string pattern : {"local", "neighbor", "uniform", "hotspot"}) {
+    const KernelMetrics& b = rs.metrics(pattern + "/base");
+    const KernelMetrics& g = rs.metrics(pattern + "/gf4");
+    tw.add_row({pattern, fmt(b.bw_per_core), fmt(g.bw_per_core),
                 delta(g.bw_per_core / b.bw_per_core - 1.0), std::to_string(b.cycles),
                 std::to_string(g.cycles)});
   }
@@ -231,102 +190,53 @@ void print_trace_patterns(const ResultSet& rs) {
       "bottleneck.\n");
 }
 
-void register_trace_patterns(ScenarioRegistry& reg) {
-  SuiteSpec suite;
-  suite.name = "trace_patterns";
-  suite.description =
-      "Synthetic traffic study: local/neighbor/uniform/hotspot trace replay "
-      "on MP64Spatz4, baseline vs GF4";
-  suite.print = print_trace_patterns;
-  reg.add_suite(std::move(suite));
-
-  for (const PatternCase& pc : kTracePatterns) {
-    for (const bool burst : {false, true}) {
-      ScenarioSpec s;
-      s.name = std::string("trace_patterns/") + pc.name + (burst ? "/gf4" : "/base");
-      s.config = [burst] {
-        ClusterConfig cfg = ClusterConfig::mp64spatz4();
-        return burst ? cfg.with_burst(4) : cfg;
-      };
-      s.kernel = [pattern = pc.pattern, burst] {
-        ClusterConfig cfg = ClusterConfig::mp64spatz4();
-        if (burst) cfg = cfg.with_burst(4);
-        TraceConfig tc;
-        tc.pattern = pattern;
-        tc.entries_per_hart = 64;
-        tc.seed = 31;
-        return std::make_unique<TraceReplayKernel>(synthetic_trace(cfg, tc));
-      };
-      s.opts.verify = false;
-      s.opts.max_cycles = 20'000'000;
-      reg.add(std::move(s));
+constexpr const char* kTracePatterns = R"json({
+  "schema": "tcdm-scenarios",
+  "schema_version": 1,
+  "suite": "trace_patterns",
+  "description": "Synthetic traffic study: local/neighbor/uniform/hotspot trace replay on MP64Spatz4, baseline vs GF4",
+  "scenarios": [
+    {
+      "name": "{pattern}/{variant.label}",
+      "sweep": {
+        "pattern": ["local", "neighbor", "uniform", "hotspot"],
+        "variant": [{"label": "base", "gf": 0}, {"label": "gf4", "gf": 4}]
+      },
+      "config": {"preset": "mp64spatz4", "burst": {"gf": "{variant.gf}"}},
+      "kernel": {"kind": "trace_replay", "pattern": "{pattern}", "entries_per_hart": 64,
+                 "seed": 31},
+      "options": {"verify": false, "max_cycles": 20000000}
     }
-  }
-}
+  ]
+})json";
 
 // ----------------------------------------------------------- explorer -----
 
-void register_explorer(ScenarioRegistry& reg) {
-  SuiteSpec suite;
-  suite.name = "explorer";
-  suite.description =
-      "Bandwidth explorer: per-preset hierarchical-average bandwidth under "
-      "uniform / remote-only / local-only probe traffic (interactive study)";
-  suite.emit_by_default = false;
-  reg.add_suite(std::move(suite));
-
-  const struct {
-    const char* name;
-    RandomProbeKernel::Pattern pattern;
-  } patterns[] = {
-      {"uniform", RandomProbeKernel::Pattern::kUniform},
-      {"remote", RandomProbeKernel::Pattern::kRemoteOnly},
-      {"local", RandomProbeKernel::Pattern::kLocalOnly},
-  };
-  for (const std::string& preset : testbed_presets()) {
-    // GF8 rides along for parity with the ablation_gf sweep.
-    for (unsigned gf : {0u, 2u, 4u, 8u}) {
-      for (const auto& p : patterns) {
-        ScenarioSpec s;
-        s.name = "explorer/" + preset + "/" + (gf == 0 ? "baseline" : "gf" + std::to_string(gf)) +
-                 "/" + p.name;
-        s.config = [preset, gf] {
-          ClusterConfig cfg = ClusterConfig::by_name(preset);
-          return gf > 0 ? cfg.with_burst(gf) : cfg;
-        };
-        s.kernel = [preset, pattern = p.pattern] {
-          const ClusterConfig cfg = ClusterConfig::by_name(preset);
-          return std::make_unique<RandomProbeKernel>(probe_iters(cfg), pattern);
-        };
-        s.opts.verify = false;
-        s.opts.max_cycles = 5'000'000;
-        reg.add(std::move(s));
-      }
+// No printer: `tcdm_run run` renders the generic per-scenario table. GF8
+// rides along for parity with the ablation_gf sweep.
+constexpr const char* kExplorer = R"json({
+  "schema": "tcdm-scenarios",
+  "schema_version": 1,
+  "suite": "explorer",
+  "description": "Bandwidth explorer: per-preset hierarchical-average bandwidth under uniform / remote-only / local-only probe traffic (interactive study)",
+  "emit_by_default": false,
+  "scenarios": [
+    {
+      "name": "{preset}/{variant.label}/{pattern}",
+      "sweep": {
+        "preset": ["mp4spatz4", "mp64spatz4", "mp128spatz8"],
+        "variant": [{"label": "baseline", "gf": 0}, {"label": "gf2", "gf": 2},
+                    {"label": "gf4", "gf": 4}, {"label": "gf8", "gf": 8}],
+        "pattern": ["uniform", "remote", "local"]
+      },
+      "config": {"preset": "{preset}", "burst": {"gf": "{variant.gf}"}},
+      "kernel": {"kind": "random_probe", "pattern": "{pattern}"},
+      "options": {"verify": false, "max_cycles": 5000000}
     }
-  }
-}
+  ]
+})json";
 
 // ------------------------------------------------------------ scaling -----
-
-/// A MemPool-style configuration with `tiles` tiles of 4 FPUs each,
-/// grouped 16 tiles per group above 16 tiles (the MP64Spatz4 pattern).
-ClusterConfig scaled_config(unsigned tiles) {
-  ClusterConfig c = ClusterConfig::mp4spatz4();
-  c.name = "mp" + std::to_string(tiles) + "spatz4";
-  c.num_tiles = tiles;
-  if (tiles <= 16) {
-    c.level_sizes = {tiles};
-    c.level_latency = {{1, 1}};
-    if (tiles > 1) {
-      c.level_sizes = {1, tiles};
-      c.level_latency = {{1, 1}, {1, 1}};
-    }
-  } else {
-    c.level_sizes = {16, tiles / 16};
-    c.level_latency = {{1, 1}, {2, 2}};
-  }
-  return c;
-}
 
 constexpr unsigned kScalingTiles[] = {4u, 16u, 32u, 64u, 128u};
 
@@ -335,9 +245,9 @@ void print_scaling(const ResultSet& rs) {
   std::printf("%8s %6s | %21s | %21s | %s\n", "", "", "baseline", "GF4 burst", "");
   std::printf("%8s %6s | %10s %10s | %10s %10s | %s\n", "tiles", "FPUs", "BW/core",
               "util", "BW/core", "util", "speedup");
+  // Every scaled config keeps MP4Spatz4's tiles, so its per-VLSU peak.
+  const ClusterConfig tile = ClusterConfig::mp4spatz4();
   for (unsigned tiles : kScalingTiles) {
-    const ClusterConfig base_cfg = scaled_config(tiles);
-    const ClusterConfig gf4_cfg = base_cfg.with_burst(4);
     // Split concatenation sidesteps a GCC-12 -Wrestrict false positive on
     // chained operator+ over std::to_string temporaries.
     std::string prefix = "t";
@@ -345,9 +255,9 @@ void print_scaling(const ResultSet& rs) {
     const KernelMetrics& base = rs.metrics(prefix + "/baseline");
     const KernelMetrics& gf4 = rs.metrics(prefix + "/gf4");
     std::printf("%8u %6u | %10.2f %9.1f%% | %10.2f %9.1f%% | %.2fx\n", tiles,
-                base_cfg.num_fpus(), base.bw_per_core,
-                100.0 * base.bw_per_core / base_cfg.vlsu_peak_bw(), gf4.bw_per_core,
-                100.0 * gf4.bw_per_core / gf4_cfg.vlsu_peak_bw(),
+                tiles * tile.vlsu_ports, base.bw_per_core,
+                100.0 * base.bw_per_core / tile.vlsu_peak_bw(), gf4.bw_per_core,
+                100.0 * gf4.bw_per_core / tile.vlsu_peak_bw(),
                 static_cast<double>(base.cycles) / gf4.cycles);
   }
   std::printf(
@@ -356,41 +266,52 @@ void print_scaling(const ResultSet& rs) {
       "scalability argument in one sweep.\n");
 }
 
-void register_scaling(ScenarioRegistry& reg) {
-  SuiteSpec suite;
-  suite.name = "scaling";
-  suite.description =
-      "Scaling study: DotP with a constant per-core working set on 4 -> 128 "
-      "tiles (16 -> 1024 FPUs), baseline vs GF4 (interactive study)";
-  suite.emit_by_default = false;
-  suite.print = print_scaling;
-  reg.add_suite(std::move(suite));
-
-  for (unsigned tiles : kScalingTiles) {
-    for (const bool burst : {false, true}) {
-      ScenarioSpec s;
-      s.name = "scaling/t" + std::to_string(tiles) + (burst ? "/gf4" : "/baseline");
-      s.config = [tiles, burst] {
-        const ClusterConfig cfg = scaled_config(tiles);
-        return burst ? cfg.with_burst(4) : cfg;
-      };
-      s.kernel = [tiles] {
-        return std::make_unique<DotpKernel>(1024 * scaled_config(tiles).num_cores());
-      };
-      s.opts.max_cycles = 20'000'000;
-      reg.add(std::move(s));
+// MemPool-style configurations with `tiles` tiles of 4 FPUs each, grouped
+// 16 tiles per group above 16 tiles (the MP64Spatz4 pattern); DotP keeps
+// 1024 elements per core.
+constexpr const char* kScaling = R"json({
+  "schema": "tcdm-scenarios",
+  "schema_version": 1,
+  "suite": "scaling",
+  "description": "Scaling study: DotP with a constant per-core working set on 4 -> 128 tiles (16 -> 1024 FPUs), baseline vs GF4 (interactive study)",
+  "emit_by_default": false,
+  "scenarios": [
+    {
+      "name": "t{scale.tiles}/{variant.label}",
+      "sweep": {
+        "scale": [
+          {"tiles": 4, "n": 4096, "levels": [1, 4],
+           "latency": [{"request": 1, "response": 1}, {"request": 1, "response": 1}]},
+          {"tiles": 16, "n": 16384, "levels": [1, 16],
+           "latency": [{"request": 1, "response": 1}, {"request": 1, "response": 1}]},
+          {"tiles": 32, "n": 32768, "levels": [16, 2],
+           "latency": [{"request": 1, "response": 1}, {"request": 2, "response": 2}]},
+          {"tiles": 64, "n": 65536, "levels": [16, 4],
+           "latency": [{"request": 1, "response": 1}, {"request": 2, "response": 2}]},
+          {"tiles": 128, "n": 131072, "levels": [16, 8],
+           "latency": [{"request": 1, "response": 1}, {"request": 2, "response": 2}]}
+        ],
+        "variant": [{"label": "baseline", "gf": 0}, {"label": "gf4", "gf": 4}]
+      },
+      "config": {"preset": "mp4spatz4", "name": "mp{scale.tiles}spatz4",
+                 "num_tiles": "{scale.tiles}", "level_sizes": "{scale.levels}",
+                 "level_latency": "{scale.latency}", "burst": {"gf": "{variant.gf}"}},
+      "kernel": {"kind": "dotp", "n": "{scale.n}"},
+      "options": {"max_cycles": 20000000}
     }
-  }
-}
+  ]
+})json";
 
 }  // namespace
 
-void register_extensions(ScenarioRegistry& reg) {
-  register_ext_kernels(reg);
-  register_pareto(reg);
-  register_trace_patterns(reg);
-  register_explorer(reg);
-  register_scaling(reg);
+std::vector<Suite> extension_suites() {
+  return {
+      {.document = kExtKernels, .print = print_ext_kernels},
+      {.document = kPareto, .print = print_pareto, .emit_model = pareto_model},
+      {.document = kTracePatterns, .print = print_trace_patterns},
+      {.document = kExplorer},
+      {.document = kScaling, .print = print_scaling},
+  };
 }
 
 }  // namespace builtin

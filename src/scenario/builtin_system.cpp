@@ -5,14 +5,10 @@
 // single-cluster scaling study.
 #include <cstdio>
 #include <iostream>
-#include <memory>
 #include <string>
-#include <utility>
 
 #include "src/analytics/report.hpp"
-#include "src/kernels/dotp.hpp"
-#include "src/scenario/builtin.hpp"
-#include "src/system/system_config.hpp"
+#include "src/scenario/builtin_suites.hpp"
 
 namespace tcdm::scenario {
 namespace builtin {
@@ -23,25 +19,15 @@ constexpr BarrierKind kBarrierKinds[] = {BarrierKind::kCentral, BarrierKind::kTr
                                          BarrierKind::kButterfly};
 constexpr unsigned kDmaBurstLens[] = {8u, 32u};
 
-/// Per-cluster working set: each cluster runs its own DotP instance (weak
-/// scaling), then the DMA phase gathers kDmaWords from its ring neighbor.
+/// The document's per-cluster working set, for the printer's headings:
+/// each cluster runs its own DotP instance (weak scaling), then the DMA
+/// phase gathers kDmaWords from its ring neighbor.
 /// The exchange is sized as a halo, not a bulk copy: small enough that the
 /// serialized per-burst NoC headers never dominate the kernel phase, so
 /// aggregate bandwidth stays monotone in the cluster count (the property
 /// the recorded baseline gates).
 constexpr unsigned kDotpElems = 4096;
 constexpr unsigned kDmaWords = 256;
-
-SystemConfig system_config(unsigned clusters, BarrierKind kind, unsigned burst_len) {
-  SystemConfig sys;
-  sys.name = "sys_n" + std::to_string(clusters) + "_" +
-             std::string(barrier_kind_name(kind)) + "_b" + std::to_string(burst_len);
-  sys.num_clusters = clusters;
-  sys.barrier_kind = kind;
-  sys.dma_burst_len = burst_len;
-  sys.dma_words = kDmaWords;
-  return sys;
-}
 
 std::string rel_name(unsigned clusters, BarrierKind kind, unsigned burst_len) {
   std::string rel = "n";
@@ -52,6 +38,28 @@ std::string rel_name(unsigned clusters, BarrierKind kind, unsigned burst_len) {
   rel += std::to_string(burst_len);
   return rel;
 }
+
+constexpr const char* kMultiCluster = R"json({
+  "schema": "tcdm-scenarios",
+  "schema_version": 1,
+  "suite": "multi_cluster_scaling",
+  "description": "Multi-cluster weak scaling: 1-8 mp4spatz4 clusters under the system layer, sweeping global-barrier kind (central/tree/butterfly) and inter-cluster DMA burst length over the modeled L2/NoC",
+  "scenarios": [
+    {
+      "name": "n{clusters}/{barrier}/burst{burst}",
+      "sweep": {
+        "clusters": [1, 2, 4, 8],
+        "barrier": ["central", "tree", "butterfly"],
+        "burst": [8, 32]
+      },
+      "config": {"preset": "mp4spatz4"},
+      "kernel": {"kind": "dotp", "n": 4096},
+      "system": {"name": "sys_n{clusters}_{barrier}_b{burst}", "num_clusters": "{clusters}",
+                 "barrier_kind": "{barrier}", "dma_burst_len": "{burst}", "dma_words": 256},
+      "options": {"max_cycles": 20000000}
+    }
+  ]
+})json";
 
 void print_multi_cluster(const ResultSet& rs) {
   for (const unsigned burst_len : kDmaBurstLens) {
@@ -84,38 +92,18 @@ void print_multi_cluster(const ResultSet& rs) {
       "longer DMA bursts amortize the per-burst NoC header.\n");
 }
 
+// Default per-scenario metrics plus the aggregate-bandwidth gate the
+// scaling claim rests on (monotone in the cluster count; checked by tests
+// and CI).
+void multi_cluster_emit(const ScenarioResult& r, metrics::MetricsDoc& doc) {
+  doc.add_kernel_metrics(r.rel, r.metrics);
+  doc.add(r.rel + "/agg_bw", r.metrics.bw_bytes_per_cycle, metrics::kSimRelTol);
+}
+
 }  // namespace
 
-void register_system(ScenarioRegistry& reg) {
-  SuiteSpec suite;
-  suite.name = "multi_cluster_scaling";
-  suite.description =
-      "Multi-cluster weak scaling: 1-8 mp4spatz4 clusters under the system "
-      "layer, sweeping global-barrier kind (central/tree/butterfly) and "
-      "inter-cluster DMA burst length over the modeled L2/NoC";
-  suite.print = print_multi_cluster;
-  reg.add_suite(std::move(suite));
-
-  for (const unsigned n : kClusterCounts) {
-    for (const BarrierKind kind : kBarrierKinds) {
-      for (const unsigned burst_len : kDmaBurstLens) {
-        ScenarioSpec s;
-        s.name = "multi_cluster_scaling/" + rel_name(n, kind, burst_len);
-        s.config = [] { return ClusterConfig::mp4spatz4(); };
-        s.kernel = [] { return std::make_unique<DotpKernel>(kDotpElems); };
-        s.system = [n, kind, burst_len] { return system_config(n, kind, burst_len); };
-        s.opts.max_cycles = 20'000'000;
-        // Default per-scenario metrics plus the aggregate-bandwidth gate the
-        // scaling claim rests on (monotone in n; checked by tests and CI).
-        s.emit = [](const ScenarioResult& r, metrics::MetricsDoc& doc) {
-          doc.add_kernel_metrics(r.rel, r.metrics);
-          doc.add(r.rel + "/agg_bw", r.metrics.bw_bytes_per_cycle,
-                  metrics::kSimRelTol);
-        };
-        reg.add(std::move(s));
-      }
-    }
-  }
+std::vector<Suite> system_suites() {
+  return {{.document = kMultiCluster, .print = print_multi_cluster, .emit = multi_cluster_emit}};
 }
 
 }  // namespace builtin

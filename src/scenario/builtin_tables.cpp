@@ -1,12 +1,11 @@
 // Builtin suites for the paper's headline artifacts: Table I (bandwidth),
 // Table II (kernels + energy efficiency), Fig. 3 (rooflines) and Fig. 5
-// (area/power breakdowns). Configurations, kernel sizes and runner options
-// are the ones the original per-binary sweeps used, so the recorded
-// baselines carry over unchanged.
+// (area/power breakdowns), plus register_builtin() itself. Configurations,
+// kernel sizes and runner options are the ones the original per-binary
+// sweeps used, so the recorded baselines carry over unchanged.
 #include <cstdio>
 #include <iostream>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <utility>
 #include <vector>
@@ -15,11 +14,9 @@
 #include "src/analytics/bandwidth_model.hpp"
 #include "src/analytics/report.hpp"
 #include "src/analytics/roofline.hpp"
-#include "src/kernels/dotp.hpp"
-#include "src/kernels/fft.hpp"
-#include "src/kernels/matmul.hpp"
-#include "src/kernels/probes.hpp"
 #include "src/scenario/builtin.hpp"
+#include "src/scenario/builtin_suites.hpp"
+#include "src/scenario/scenario_file.hpp"
 
 namespace tcdm::scenario {
 
@@ -27,27 +24,27 @@ void register_builtin() {
   static std::once_flag once;
   std::call_once(once, [] {
     ScenarioRegistry& reg = ScenarioRegistry::instance();
-    builtin::register_tables(reg);
-    builtin::register_ablations(reg);
-    builtin::register_extensions(reg);
-    builtin::register_system(reg);
+    for (const auto part : {builtin::table_suites, builtin::ablation_suites,
+                            builtin::extension_suites, builtin::system_suites}) {
+      for (const builtin::Suite& s : part()) {
+        LoadedSuite loaded = parse_suite(Json::parse(s.document), "builtin suite");
+        loaded.suite.print = s.print;
+        loaded.suite.emit_model = s.emit_model;
+        loaded.suite.emit = s.emit;
+        register_loaded_suite(reg, loaded);
+      }
+    }
   });
 }
 
 namespace builtin {
+namespace {
 
-const std::vector<std::string>& testbed_presets() {
+/// The paper's three testbed presets, smallest first.
+const std::vector<std::string>& presets() {
   static const std::vector<std::string> p = {"mp4spatz4", "mp64spatz4", "mp128spatz8"};
   return p;
 }
-
-unsigned probe_iters(const ClusterConfig& cfg) {
-  return cfg.num_cores() >= 128 ? 64 : 128;
-}
-
-namespace {
-
-const std::vector<std::string>& presets() { return testbed_presets(); }
 
 std::string variant_name(unsigned gf) {
   return gf == 0 ? "baseline" : "gf" + std::to_string(gf);
@@ -62,28 +59,6 @@ ClusterConfig preset_config(const std::string& preset, unsigned gf) {
 /// 1024-FPU cluster (routing congestion, §III-B).
 unsigned design_gf(const std::string& preset) {
   return preset == "mp128spatz8" ? 2 : 4;
-}
-
-/// Table II / Fig. 3 kernel points (problem sizes scale with the cluster).
-std::unique_ptr<Kernel> make_point_kernel(const std::string& preset,
-                                          const std::string& which) {
-  if (preset == "mp4spatz4") {
-    if (which == "dotp") return std::make_unique<DotpKernel>(4096);
-    if (which == "fft") return std::make_unique<FftKernel>(1, 512);
-    if (which == "matmul-s") return std::make_unique<MatmulKernel>(16, 4);
-    if (which == "matmul-l") return std::make_unique<MatmulKernel>(64, 8);
-  } else if (preset == "mp64spatz4") {
-    if (which == "dotp") return std::make_unique<DotpKernel>(65536);
-    if (which == "fft") return std::make_unique<FftKernel>(4, 2048);
-    if (which == "matmul-s") return std::make_unique<MatmulKernel>(64, 4);
-    if (which == "matmul-l") return std::make_unique<MatmulKernel>(256, 8);
-  } else if (preset == "mp128spatz8") {
-    if (which == "dotp") return std::make_unique<DotpKernel>(131072);
-    if (which == "fft") return std::make_unique<FftKernel>(8, 4096);
-    if (which == "matmul-s") return std::make_unique<MatmulKernel>(128, 4);
-    if (which == "matmul-l") return std::make_unique<MatmulKernel>(256, 8);
-  }
-  throw std::invalid_argument("unknown kernel point: " + preset + "/" + which);
 }
 
 const std::vector<std::string>& point_kernels() {
@@ -137,45 +112,42 @@ void print_table1(const ResultSet& rs) {
       "hierarchical-average lines do.\n");
 }
 
-void register_table1(ScenarioRegistry& reg) {
-  SuiteSpec suite;
-  suite.name = "table1";
-  suite.description =
-      "Table I: closed-form bandwidth model (eqs. 1-5) and simulated "
-      "random-probe bandwidth, per-VLSU B/cycle";
-  suite.emit_model = [](metrics::MetricsDoc& doc) {
-    for (const std::string& p : presets()) {
-      const auto col = model::table1_column(ClusterConfig::by_name(p));
-      doc.add(p + "/model/peak", col.peak, metrics::kModelRelTol);
-      doc.add(p + "/model/baseline_bw", col.baseline_bw, metrics::kModelRelTol);
-      doc.add(p + "/model/gf2_bw", col.gf2_bw, metrics::kModelRelTol);
-      doc.add(p + "/model/gf4_bw", col.gf4_bw, metrics::kModelRelTol);
-      doc.add(p + "/model/gf2_improvement", col.gf2_improvement, metrics::kModelRelTol);
-      doc.add(p + "/model/gf4_improvement", col.gf4_improvement, metrics::kModelRelTol);
+constexpr const char* kTable1 = R"json({
+  "schema": "tcdm-scenarios",
+  "schema_version": 1,
+  "suite": "table1",
+  "description": "Table I: closed-form bandwidth model (eqs. 1-5) and simulated random-probe bandwidth, per-VLSU B/cycle",
+  "scenarios": [
+    {
+      "name": "{preset}/{variant.label}",
+      "sweep": {
+        "preset": ["mp4spatz4", "mp64spatz4", "mp128spatz8"],
+        "variant": [{"label": "baseline", "gf": 0}, {"label": "gf2", "gf": 2},
+                    {"label": "gf4", "gf": 4}]
+      },
+      "config": {"preset": "{preset}", "burst": {"gf": "{variant.gf}"}},
+      "kernel": {"kind": "random_probe"},
+      "options": {"verify": false, "max_cycles": 3000000}
     }
-  };
-  suite.print = print_table1;
-  reg.add_suite(std::move(suite));
+  ]
+})json";
 
-  for (const std::string& preset : presets()) {
-    for (unsigned gf : {0u, 2u, 4u}) {
-      ScenarioSpec s;
-      s.name = "table1/" + preset + "/" + variant_name(gf);
-      s.config = [preset, gf] { return preset_config(preset, gf); };
-      s.kernel = [preset, gf] {
-        return std::make_unique<RandomProbeKernel>(probe_iters(preset_config(preset, gf)));
-      };
-      s.opts.verify = false;
-      s.opts.max_cycles = 3'000'000;
-      s.emit = [rel = preset + "/" + variant_name(gf)](const ScenarioResult& r,
-                                                       metrics::MetricsDoc& doc) {
-        doc.add(rel + "/sim/bw_per_core", r.metrics.bw_per_core, metrics::kSimRelTol);
-        doc.add(rel + "/sim/cycles", static_cast<double>(r.metrics.cycles),
-                metrics::kSimRelTol);
-      };
-      reg.add(std::move(s));
-    }
+void table1_model(metrics::MetricsDoc& doc) {
+  for (const std::string& p : presets()) {
+    const auto col = model::table1_column(ClusterConfig::by_name(p));
+    doc.add(p + "/model/peak", col.peak, metrics::kModelRelTol);
+    doc.add(p + "/model/baseline_bw", col.baseline_bw, metrics::kModelRelTol);
+    doc.add(p + "/model/gf2_bw", col.gf2_bw, metrics::kModelRelTol);
+    doc.add(p + "/model/gf4_bw", col.gf4_bw, metrics::kModelRelTol);
+    doc.add(p + "/model/gf2_improvement", col.gf2_improvement, metrics::kModelRelTol);
+    doc.add(p + "/model/gf4_improvement", col.gf4_improvement, metrics::kModelRelTol);
   }
+}
+
+void table1_emit(const ScenarioResult& r, metrics::MetricsDoc& doc) {
+  doc.add(r.rel + "/sim/bw_per_core", r.metrics.bw_per_core, metrics::kSimRelTol);
+  doc.add(r.rel + "/sim/cycles", static_cast<double>(r.metrics.cycles),
+          metrics::kSimRelTol);
 }
 
 // ------------------------------------------------------------ Table II ----
@@ -224,36 +196,68 @@ void print_table2(const ResultSet& rs) {
       "MP4Spatz4/MP64Spatz4/MP128Spatz8 respectively.\n");
 }
 
-void register_table2(ScenarioRegistry& reg) {
-  SuiteSpec suite;
-  suite.name = "table2";
-  suite.description =
-      "Table II: kernel performance and energy efficiency, baseline vs TCDM "
-      "Burst (GF4 on MP4/MP64, GF2 on MP128)";
-  suite.print = print_table2;
-  reg.add_suite(std::move(suite));
-
-  for (const std::string& preset : presets()) {
-    const unsigned design = design_gf(preset);
-    for (const std::string& kernel : point_kernels()) {
-      for (unsigned gf : {0u, design}) {
-        ScenarioSpec s;
-        const std::string rel = preset + "/" + variant_name(gf) + "/" + kernel;
-        s.name = "table2/" + rel;
-        s.config = [preset, gf] { return preset_config(preset, gf); };
-        s.kernel = [preset, kernel] { return make_point_kernel(preset, kernel); };
-        s.opts.max_cycles = 50'000'000;
-        s.emit = [rel](const ScenarioResult& r, metrics::MetricsDoc& doc) {
-          doc.add_kernel_metrics(rel, r.metrics);
-          doc.add(rel + "/gflops_tt", r.metrics.gflops_tt, metrics::kSimRelTol);
-          doc.add(rel + "/power_w", r.power.total(), metrics::kSimRelTol);
-          doc.add(rel + "/gflops_per_w", energy_efficiency(r.metrics.gflops_tt, r.power),
-                  metrics::kSimRelTol);
-        };
-        reg.add(std::move(s));
-      }
+// One template per testbed: the kernel sizes scale with the cluster, and
+// the burst variant is the paper's design point (GF2 on MP128Spatz8).
+constexpr const char* kTable2 = R"json({
+  "schema": "tcdm-scenarios",
+  "schema_version": 1,
+  "suite": "table2",
+  "description": "Table II: kernel performance and energy efficiency, baseline vs TCDM Burst (GF4 on MP4/MP64, GF2 on MP128)",
+  "scenarios": [
+    {
+      "name": "mp4spatz4/{variant.label}/{kernel.label}",
+      "sweep": {
+        "kernel": [
+          {"label": "dotp", "spec": {"kind": "dotp", "n": 4096}},
+          {"label": "fft", "spec": {"kind": "fft", "instances": 1, "n": 512}},
+          {"label": "matmul-s", "spec": {"kind": "matmul", "n": 16, "row_block": 4}},
+          {"label": "matmul-l", "spec": {"kind": "matmul", "n": 64, "row_block": 8}}
+        ],
+        "variant": [{"label": "baseline", "gf": 0}, {"label": "gf4", "gf": 4}]
+      },
+      "config": {"preset": "mp4spatz4", "burst": {"gf": "{variant.gf}"}},
+      "kernel": "{kernel.spec}",
+      "options": {"max_cycles": 50000000}
+    },
+    {
+      "name": "mp64spatz4/{variant.label}/{kernel.label}",
+      "sweep": {
+        "kernel": [
+          {"label": "dotp", "spec": {"kind": "dotp", "n": 65536}},
+          {"label": "fft", "spec": {"kind": "fft", "instances": 4, "n": 2048}},
+          {"label": "matmul-s", "spec": {"kind": "matmul", "n": 64, "row_block": 4}},
+          {"label": "matmul-l", "spec": {"kind": "matmul", "n": 256, "row_block": 8}}
+        ],
+        "variant": [{"label": "baseline", "gf": 0}, {"label": "gf4", "gf": 4}]
+      },
+      "config": {"preset": "mp64spatz4", "burst": {"gf": "{variant.gf}"}},
+      "kernel": "{kernel.spec}",
+      "options": {"max_cycles": 50000000}
+    },
+    {
+      "name": "mp128spatz8/{variant.label}/{kernel.label}",
+      "sweep": {
+        "kernel": [
+          {"label": "dotp", "spec": {"kind": "dotp", "n": 131072}},
+          {"label": "fft", "spec": {"kind": "fft", "instances": 8, "n": 4096}},
+          {"label": "matmul-s", "spec": {"kind": "matmul", "n": 128, "row_block": 4}},
+          {"label": "matmul-l", "spec": {"kind": "matmul", "n": 256, "row_block": 8}}
+        ],
+        "variant": [{"label": "baseline", "gf": 0}, {"label": "gf2", "gf": 2}]
+      },
+      "config": {"preset": "mp128spatz8", "burst": {"gf": "{variant.gf}"}},
+      "kernel": "{kernel.spec}",
+      "options": {"max_cycles": 50000000}
     }
-  }
+  ]
+})json";
+
+void table2_emit(const ScenarioResult& r, metrics::MetricsDoc& doc) {
+  doc.add_kernel_metrics(r.rel, r.metrics);
+  doc.add(r.rel + "/gflops_tt", r.metrics.gflops_tt, metrics::kSimRelTol);
+  doc.add(r.rel + "/power_w", r.power.total(), metrics::kSimRelTol);
+  doc.add(r.rel + "/gflops_per_w", energy_efficiency(r.metrics.gflops_tt, r.power),
+          metrics::kSimRelTol);
 }
 
 // -------------------------------------------------------------- Fig. 3 ----
@@ -294,61 +298,111 @@ void print_fig3(const ResultSet& rs) {
   }
 }
 
-void register_fig3(ScenarioRegistry& reg) {
-  SuiteSpec suite;
-  suite.name = "fig3_roofline";
-  suite.description =
-      "Fig. 3: roofline roofs (FPU peak, ideal and measured hierarchical-"
-      "average bandwidth) and kernel sample points, baseline vs burst";
-  suite.emit_model = [](metrics::MetricsDoc& doc) {
-    for (const std::string& p : presets()) {
-      // The compute and ideal-bandwidth roofs depend only on the preset;
-      // only the measured (dashed) roof differs between baseline and burst.
-      const Roofline roofs = make_roofline(ClusterConfig::by_name(p));
-      doc.add(p + "/roofline/peak_gflops", roofs.peak_gflops, metrics::kModelRelTol);
-      doc.add(p + "/roofline/ideal_bw_gbps", roofs.ideal_bw_gbps, metrics::kModelRelTol);
+// Per testbed: the Table I probe (the measured roof) and the Table II
+// kernel points (the samples), baseline vs the design GF. test_scenario
+// pins every point to its table1/table2 twin.
+constexpr const char* kFig3 = R"json({
+  "schema": "tcdm-scenarios",
+  "schema_version": 1,
+  "suite": "fig3_roofline",
+  "description": "Fig. 3: roofline roofs (FPU peak, ideal and measured hierarchical-average bandwidth) and kernel sample points, baseline vs burst",
+  "scenarios": [
+    {
+      "name": "mp4spatz4/probe/{variant.label}",
+      "sweep": {"variant": [{"label": "baseline", "gf": 0}, {"label": "gf4", "gf": 4}]},
+      "config": {"preset": "mp4spatz4", "burst": {"gf": "{variant.gf}"}},
+      "kernel": {"kind": "random_probe"},
+      "options": {"verify": false, "max_cycles": 50000000}
+    },
+    {
+      "name": "mp4spatz4/{kernel.label}/{variant.label}",
+      "sweep": {
+        "kernel": [
+          {"label": "dotp", "spec": {"kind": "dotp", "n": 4096}},
+          {"label": "fft", "spec": {"kind": "fft", "instances": 1, "n": 512}},
+          {"label": "matmul-s", "spec": {"kind": "matmul", "n": 16, "row_block": 4}},
+          {"label": "matmul-l", "spec": {"kind": "matmul", "n": 64, "row_block": 8}}
+        ],
+        "variant": [{"label": "baseline", "gf": 0}, {"label": "gf4", "gf": 4}]
+      },
+      "config": {"preset": "mp4spatz4", "burst": {"gf": "{variant.gf}"}},
+      "kernel": "{kernel.spec}",
+      "options": {"max_cycles": 50000000}
+    },
+    {
+      "name": "mp64spatz4/probe/{variant.label}",
+      "sweep": {"variant": [{"label": "baseline", "gf": 0}, {"label": "gf4", "gf": 4}]},
+      "config": {"preset": "mp64spatz4", "burst": {"gf": "{variant.gf}"}},
+      "kernel": {"kind": "random_probe"},
+      "options": {"verify": false, "max_cycles": 50000000}
+    },
+    {
+      "name": "mp64spatz4/{kernel.label}/{variant.label}",
+      "sweep": {
+        "kernel": [
+          {"label": "dotp", "spec": {"kind": "dotp", "n": 65536}},
+          {"label": "fft", "spec": {"kind": "fft", "instances": 4, "n": 2048}},
+          {"label": "matmul-s", "spec": {"kind": "matmul", "n": 64, "row_block": 4}},
+          {"label": "matmul-l", "spec": {"kind": "matmul", "n": 256, "row_block": 8}}
+        ],
+        "variant": [{"label": "baseline", "gf": 0}, {"label": "gf4", "gf": 4}]
+      },
+      "config": {"preset": "mp64spatz4", "burst": {"gf": "{variant.gf}"}},
+      "kernel": "{kernel.spec}",
+      "options": {"max_cycles": 50000000}
+    },
+    {
+      "name": "mp128spatz8/probe/{variant.label}",
+      "sweep": {"variant": [{"label": "baseline", "gf": 0}, {"label": "gf2", "gf": 2}]},
+      "config": {"preset": "mp128spatz8", "burst": {"gf": "{variant.gf}"}},
+      "kernel": {"kind": "random_probe"},
+      "options": {"verify": false, "max_cycles": 50000000}
+    },
+    {
+      "name": "mp128spatz8/{kernel.label}/{variant.label}",
+      "sweep": {
+        "kernel": [
+          {"label": "dotp", "spec": {"kind": "dotp", "n": 131072}},
+          {"label": "fft", "spec": {"kind": "fft", "instances": 8, "n": 4096}},
+          {"label": "matmul-s", "spec": {"kind": "matmul", "n": 128, "row_block": 4}},
+          {"label": "matmul-l", "spec": {"kind": "matmul", "n": 256, "row_block": 8}}
+        ],
+        "variant": [{"label": "baseline", "gf": 0}, {"label": "gf2", "gf": 2}]
+      },
+      "config": {"preset": "mp128spatz8", "burst": {"gf": "{variant.gf}"}},
+      "kernel": "{kernel.spec}",
+      "options": {"max_cycles": 50000000}
     }
-  };
-  suite.print = print_fig3;
-  reg.add_suite(std::move(suite));
+  ]
+})json";
 
-  const std::vector<std::string> points = {"probe", "dotp", "fft", "matmul-s",
-                                           "matmul-l"};
-  for (const std::string& preset : presets()) {
-    for (const std::string& which : points) {
-      for (unsigned gf : {0u, design_gf(preset)}) {
-        ScenarioSpec s;
-        const std::string variant = variant_name(gf);
-        s.name = "fig3_roofline/" + preset + "/" + which + "/" + variant;
-        s.config = [preset, gf] { return preset_config(preset, gf); };
-        s.opts.max_cycles = 50'000'000;
-        if (which == "probe") {
-          s.kernel = [preset, gf] {
-            return std::make_unique<RandomProbeKernel>(
-                probe_iters(preset_config(preset, gf)));
-          };
-          s.opts.verify = false;
-          s.emit = [preset, variant](const ScenarioResult& r, metrics::MetricsDoc& doc) {
-            const Roofline rl = make_roofline(ClusterConfig::by_name(preset),
-                                              r.metrics.bw_bytes_per_cycle);
-            doc.add(preset + "/roofline/" + variant + "/measured_bw_gbps",
-                    rl.measured_bw_gbps, metrics::kSimRelTol);
-          };
-        } else {
-          s.kernel = [preset, which] { return make_point_kernel(preset, which); };
-          s.emit = [rel = preset + "/" + which + "/" + variant](
-                       const ScenarioResult& r, metrics::MetricsDoc& doc) {
-            doc.add(rel + "/gflops_ss", r.metrics.gflops_ss, metrics::kSimRelTol);
-            doc.add(rel + "/arithmetic_intensity", r.metrics.arithmetic_intensity,
-                    metrics::kSimRelTol);
-            doc.add(rel + "/verified", r.metrics.verified ? 1.0 : 0.0,
-                    metrics::kExactTol);
-          };
-        }
-        reg.add(std::move(s));
-      }
-    }
+void fig3_model(metrics::MetricsDoc& doc) {
+  for (const std::string& p : presets()) {
+    // The compute and ideal-bandwidth roofs depend only on the preset;
+    // only the measured (dashed) roof differs between baseline and burst.
+    const Roofline roofs = make_roofline(ClusterConfig::by_name(p));
+    doc.add(p + "/roofline/peak_gflops", roofs.peak_gflops, metrics::kModelRelTol);
+    doc.add(p + "/roofline/ideal_bw_gbps", roofs.ideal_bw_gbps, metrics::kModelRelTol);
   }
+}
+
+/// rel is <preset>/<point>/<variant>: a probe records its measured roof,
+/// a kernel point its roofline sample.
+void fig3_emit(const ScenarioResult& r, metrics::MetricsDoc& doc) {
+  const std::size_t first = r.rel.find('/');
+  const std::size_t last = r.rel.rfind('/');
+  if (r.rel.compare(first + 1, last - first - 1, "probe") == 0) {
+    const std::string preset = r.rel.substr(0, first);
+    const Roofline rl =
+        make_roofline(ClusterConfig::by_name(preset), r.metrics.bw_bytes_per_cycle);
+    doc.add(preset + "/roofline/" + r.rel.substr(last + 1) + "/measured_bw_gbps",
+            rl.measured_bw_gbps, metrics::kSimRelTol);
+    return;
+  }
+  doc.add(r.rel + "/gflops_ss", r.metrics.gflops_ss, metrics::kSimRelTol);
+  doc.add(r.rel + "/arithmetic_intensity", r.metrics.arithmetic_intensity,
+          metrics::kSimRelTol);
+  doc.add(r.rel + "/verified", r.metrics.verified ? 1.0 : 0.0, metrics::kExactTol);
 }
 
 // -------------------------------------------------------------- Fig. 5 ----
@@ -408,66 +462,68 @@ void print_fig5(const ResultSet& rs) {
               mb.gflops_tt, pb.total(), mg.gflops_tt, pg.total());
 }
 
-void register_fig5(ScenarioRegistry& reg) {
-  SuiteSpec suite;
-  suite.name = "fig5_breakdown";
-  suite.description =
-      "Fig. 5: logic-area breakdown (calibrated gate-count model) and "
-      "activity-based power breakdown for MP64Spatz4 GF4, MatMul 256^3 @tt";
-  suite.emit_model = [](metrics::MetricsDoc& doc) {
-    for (unsigned gf : {0u, 4u}) {
-      const ClusterConfig cfg = preset_config("mp64spatz4", gf);
-      const AreaBreakdown a = estimate_area(cfg);
-      const std::string p = "area/" + variant_name(gf);
-      doc.add(p + "/snitch_ge", a.snitch, metrics::kModelRelTol);
-      doc.add(p + "/spatz_fpu_ge", a.spatz_fpu, metrics::kModelRelTol);
-      doc.add(p + "/spatz_vrf_ge", a.spatz_vrf, metrics::kModelRelTol);
-      doc.add(p + "/spatz_misc_ge", a.spatz_misc, metrics::kModelRelTol);
-      doc.add(p + "/vlsu_ge", a.vlsu, metrics::kModelRelTol);
-      doc.add(p + "/interconnect_ge", a.interconnect, metrics::kModelRelTol);
-      doc.add(p + "/burst_ge", a.burst, metrics::kModelRelTol);
-      doc.add(p + "/banks_logic_ge", a.banks_logic, metrics::kModelRelTol);
-      doc.add(p + "/total_ge", a.total(), metrics::kModelRelTol);
+constexpr const char* kFig5 = R"json({
+  "schema": "tcdm-scenarios",
+  "schema_version": 1,
+  "suite": "fig5_breakdown",
+  "description": "Fig. 5: logic-area breakdown (calibrated gate-count model) and activity-based power breakdown for MP64Spatz4 GF4, MatMul 256^3 @tt",
+  "scenarios": [
+    {
+      "name": "matmul256/{variant.label}",
+      "sweep": {"variant": [{"label": "baseline", "gf": 0}, {"label": "gf4", "gf": 4}]},
+      "config": {"preset": "mp64spatz4", "burst": {"gf": "{variant.gf}"}},
+      "kernel": {"kind": "matmul", "n": 256, "row_block": 8},
+      "options": {"max_cycles": 50000000}
     }
-    doc.add("area/gf4_overhead",
-            area_overhead(estimate_area(preset_config("mp64spatz4", 0)),
-                          estimate_area(preset_config("mp64spatz4", 4))),
-            metrics::kModelRelTol);
-  };
-  suite.print = print_fig5;
-  reg.add_suite(std::move(suite));
+  ]
+})json";
 
+void fig5_model(metrics::MetricsDoc& doc) {
   for (unsigned gf : {0u, 4u}) {
-    ScenarioSpec s;
-    const std::string rel = "matmul256/" + variant_name(gf);
-    s.name = "fig5_breakdown/" + rel;
-    s.config = [gf] { return preset_config("mp64spatz4", gf); };
-    s.kernel = [] { return std::make_unique<MatmulKernel>(256, 8); };
-    s.opts.max_cycles = 50'000'000;
-    s.emit = [rel](const ScenarioResult& r, metrics::MetricsDoc& doc) {
-      doc.add_kernel_metrics(rel, r.metrics);
-      doc.add(rel + "/gflops_tt", r.metrics.gflops_tt, metrics::kSimRelTol);
-      doc.add(rel + "/power/fpu_w", r.power.fpu_w, metrics::kSimRelTol);
-      doc.add(rel + "/power/vrf_w", r.power.vrf_w, metrics::kSimRelTol);
-      doc.add(rel + "/power/vlsu_w", r.power.vlsu_w, metrics::kSimRelTol);
-      doc.add(rel + "/power/snitch_w", r.power.snitch_w, metrics::kSimRelTol);
-      doc.add(rel + "/power/icn_w", r.power.icn_w, metrics::kSimRelTol);
-      doc.add(rel + "/power/banks_w", r.power.banks_w, metrics::kSimRelTol);
-      doc.add(rel + "/power/burst_w", r.power.burst_w, metrics::kSimRelTol);
-      doc.add(rel + "/power/static_w", r.power.static_w, metrics::kSimRelTol);
-      doc.add(rel + "/power/total_w", r.power.total(), metrics::kSimRelTol);
-    };
-    reg.add(std::move(s));
+    const ClusterConfig cfg = preset_config("mp64spatz4", gf);
+    const AreaBreakdown a = estimate_area(cfg);
+    const std::string p = "area/" + variant_name(gf);
+    doc.add(p + "/snitch_ge", a.snitch, metrics::kModelRelTol);
+    doc.add(p + "/spatz_fpu_ge", a.spatz_fpu, metrics::kModelRelTol);
+    doc.add(p + "/spatz_vrf_ge", a.spatz_vrf, metrics::kModelRelTol);
+    doc.add(p + "/spatz_misc_ge", a.spatz_misc, metrics::kModelRelTol);
+    doc.add(p + "/vlsu_ge", a.vlsu, metrics::kModelRelTol);
+    doc.add(p + "/interconnect_ge", a.interconnect, metrics::kModelRelTol);
+    doc.add(p + "/burst_ge", a.burst, metrics::kModelRelTol);
+    doc.add(p + "/banks_logic_ge", a.banks_logic, metrics::kModelRelTol);
+    doc.add(p + "/total_ge", a.total(), metrics::kModelRelTol);
   }
+  doc.add("area/gf4_overhead",
+          area_overhead(estimate_area(preset_config("mp64spatz4", 0)),
+                        estimate_area(preset_config("mp64spatz4", 4))),
+          metrics::kModelRelTol);
+}
+
+void fig5_emit(const ScenarioResult& r, metrics::MetricsDoc& doc) {
+  const std::string& rel = r.rel;
+  doc.add_kernel_metrics(rel, r.metrics);
+  doc.add(rel + "/gflops_tt", r.metrics.gflops_tt, metrics::kSimRelTol);
+  doc.add(rel + "/power/fpu_w", r.power.fpu_w, metrics::kSimRelTol);
+  doc.add(rel + "/power/vrf_w", r.power.vrf_w, metrics::kSimRelTol);
+  doc.add(rel + "/power/vlsu_w", r.power.vlsu_w, metrics::kSimRelTol);
+  doc.add(rel + "/power/snitch_w", r.power.snitch_w, metrics::kSimRelTol);
+  doc.add(rel + "/power/icn_w", r.power.icn_w, metrics::kSimRelTol);
+  doc.add(rel + "/power/banks_w", r.power.banks_w, metrics::kSimRelTol);
+  doc.add(rel + "/power/burst_w", r.power.burst_w, metrics::kSimRelTol);
+  doc.add(rel + "/power/static_w", r.power.static_w, metrics::kSimRelTol);
+  doc.add(rel + "/power/total_w", r.power.total(), metrics::kSimRelTol);
 }
 
 }  // namespace
 
-void register_tables(ScenarioRegistry& reg) {
-  register_table1(reg);
-  register_table2(reg);
-  register_fig3(reg);
-  register_fig5(reg);
+std::vector<Suite> table_suites() {
+  return {
+      {.document = kTable1, .print = print_table1, .emit_model = table1_model,
+       .emit = table1_emit},
+      {.document = kTable2, .print = print_table2, .emit = table2_emit},
+      {.document = kFig3, .print = print_fig3, .emit_model = fig3_model, .emit = fig3_emit},
+      {.document = kFig5, .print = print_fig5, .emit_model = fig5_model, .emit = fig5_emit},
+  };
 }
 
 }  // namespace builtin

@@ -18,8 +18,8 @@ metrics::MetricsDoc build_doc(const ScenarioRegistry& reg, const std::string& su
     if (!r.ok()) {
       throw std::runtime_error("scenario " + r.name + " failed: " + r.error);
     }
-    if (s->emit) {
-      s->emit(r, doc);
+    if (spec.emit) {
+      spec.emit(r, doc);
     } else {
       doc.add_kernel_metrics(r.rel, r.metrics);
     }

@@ -1,10 +1,9 @@
 // KernelSpec and RunnerOptions serialization: the data-driven half of the
 // scenario layer. Every kernel the simulator ships is constructible from a
-// {"kind": ..., params...} object, so scenario files (scenario_file.hpp)
-// and the randomized generator (scenario_gen.hpp) can describe workloads
-// without C++ factories. Parameter names and defaults mirror the kernel
-// constructors exactly; a builtin suite re-expressed as JSON therefore
-// simulates bit-identically.
+// {"kind": ..., params...} object, so the builtin suites, scenario files
+// (scenario_file.hpp) and the randomized generator (scenario_gen.hpp) all
+// describe workloads without C++ factories. Parameter names and defaults
+// mirror the kernel constructors exactly.
 #include "src/scenario/scenario.hpp"
 
 #include <cmath>
@@ -23,7 +22,6 @@
 #include "src/kernels/stencil.hpp"
 #include "src/kernels/trace_replay.hpp"
 #include "src/kernels/transpose.hpp"
-#include "src/scenario/builtin.hpp"
 
 namespace tcdm {
 
@@ -150,6 +148,14 @@ class Params {
   const std::string& path_;
 };
 
+/// Random-probe iteration count when a spec omits "iters": scaled down on
+/// the 1024-FPU preset to bound sweep wall-clock. Every suite that measures
+/// hierarchical-average bandwidth (Table I, Fig. 3, Pareto, explorer) and
+/// its recorded baseline depends on this rule.
+unsigned probe_iters(const ClusterConfig& cfg) {
+  return cfg.num_cores() >= 128 ? 64 : 128;
+}
+
 RandomProbeKernel::Pattern probe_pattern(const std::string& s, const std::string& path) {
   if (s == "uniform") return RandomProbeKernel::Pattern::kUniform;
   if (s == "remote") return RandomProbeKernel::Pattern::kRemoteOnly;
@@ -252,10 +258,9 @@ std::unique_ptr<Kernel> KernelSpec::instantiate(const ClusterConfig& cfg,
     return std::make_unique<TransposeKernel>(p.dim("n"), p.seed_or(14));
   }
   if (kind == "random_probe") {
-    // iters 0 / omitted -> the shared auto-scaled count, so file-defined
-    // probes stay in lockstep with the builtin suites and their baselines.
+    // iters 0 / omitted -> the auto-scaled count.
     unsigned iters = p.uint_or("iters", 0);
-    if (iters == 0) iters = builtin::probe_iters(cfg);
+    if (iters == 0) iters = probe_iters(cfg);
     return std::make_unique<RandomProbeKernel>(
         iters, probe_pattern(p.str_or("pattern", "uniform"), path), p.seed_or(5));
   }
@@ -270,7 +275,7 @@ std::unique_ptr<Kernel> KernelSpec::instantiate(const ClusterConfig& cfg,
                                                p.seed_or(7));
   }
   // trace_replay: the trace is generated for the concrete cluster config,
-  // exactly as the builtin trace_patterns registrations do.
+  // so one spec replays the same pattern on baseline and burst variants.
   TraceConfig tc;
   tc.pattern = trace_pattern(p.str_or("pattern", "uniform"), path);
   tc.entries_per_hart = p.uint_or("entries_per_hart", tc.entries_per_hart);

@@ -1,11 +1,12 @@
 // Declarative experiment scenarios: every paper table, figure, ablation and
 // extension sweep is a ScenarioSpec — a named (config, kernel, options)
-// triple with an optional custom metrics-emission rule — grouped into a
-// SuiteSpec per artifact. The registry (registry.hpp) holds them all, the
-// SweepRunner (runner.hpp) executes any selection on a thread pool, and
-// emit.hpp turns a suite's results into the versioned metrics JSON the
-// regression gate consumes. Adding a workload is a ~10-line registration,
-// not a new binary.
+// triple — grouped into a SuiteSpec per artifact, which also carries the
+// suite's optional printer and metrics-emission rules. The registry
+// (registry.hpp) holds them all, the SweepRunner (runner.hpp) executes any
+// selection on a thread pool, and emit.hpp turns a suite's results into the
+// versioned metrics JSON the regression gate consumes. Builtin and file
+// suites alike are declared as tcdm-scenarios documents
+// (scenario_file.hpp), so adding a workload is a JSON edit, not a new binary.
 #pragma once
 
 #include <functional>
@@ -82,9 +83,6 @@ struct ScenarioSpec {
   /// When opts.verify is on, a run that completes but fails golden
   /// verification becomes an error unless this is cleared.
   bool expect_verified = true;
-  /// Adds this scenario's metrics to the suite document. Defaults to
-  /// MetricsDoc::add_kernel_metrics under the suite-relative name.
-  std::function<void(const ScenarioResult&, metrics::MetricsDoc&)> emit;
 
   [[nodiscard]] std::string suite() const { return name.substr(0, name.find('/')); }
   [[nodiscard]] std::string rel() const {
@@ -94,10 +92,10 @@ struct ScenarioSpec {
 };
 
 /// Declarative kernel description: a kind tag plus its (already
-/// type-checked) parameters — the data-driven counterpart of the builtin
-/// suites' kernel factory lambdas. `instantiate` builds the kernel for a
-/// concrete cluster configuration, which supplies config-dependent defaults
-/// (auto-scaled probe iterations, synthetic trace generation).
+/// type-checked) parameters, as every suite document spells its kernels.
+/// `instantiate` builds the kernel for a concrete cluster configuration,
+/// which supplies config-dependent defaults (auto-scaled probe iterations,
+/// synthetic trace generation).
 struct KernelSpec {
   std::string kind;
   Json::Object params;
@@ -124,8 +122,8 @@ struct KernelSpec {
     const Json& j, const std::string& path = "options");
 
 /// A paper artifact (table, figure, ablation, study): naming, the metrics
-/// document header, model-only metrics that do not come from a run, and the
-/// console table renderer.
+/// document header, model-only metrics that do not come from a run, the
+/// per-scenario emission rule, and the console table renderer.
 struct SuiteSpec {
   std::string name;
   std::string description;
@@ -135,6 +133,9 @@ struct SuiteSpec {
   /// Adds closed-form model metrics (e.g. Table I's analytical columns) to
   /// the suite document before the per-scenario emissions.
   std::function<void(metrics::MetricsDoc&)> emit_model;
+  /// Adds one scenario's metrics to the suite document. Unset means
+  /// MetricsDoc::add_kernel_metrics under the suite-relative name.
+  std::function<void(const ScenarioResult&, metrics::MetricsDoc&)> emit;
   /// Renders the suite's console table(s) from a full (or partial) sweep.
   std::function<void(const ResultSet&)> print;
 };

@@ -1,8 +1,6 @@
 #include "src/scenario/scenario_file.hpp"
 
 #include <cctype>
-#include <cmath>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -19,22 +17,12 @@ namespace {
 }
 
 /// Scalar -> text for placeholder interpolation inside longer strings.
-/// Integral numbers print without a decimal point (so "len{len}" with
-/// len = 2 becomes "len2"), matching the JSON serializer's convention.
+/// Numbers and booleans print exactly as the JSON writer spells them (so
+/// "len{len}" with len = 2 becomes "len2", and 0.1 stays "0.1").
 std::string scalar_text(const Json& v, const std::string& source,
                         const std::string& path) {
   if (v.is_string()) return v.as_string();
-  if (v.is_bool()) return v.as_bool() ? "true" : "false";
-  if (v.is_number()) {
-    const double d = v.as_double();
-    if (std::isfinite(d) && std::fabs(d) < 1e15 &&
-        d == static_cast<double>(static_cast<long long>(d))) {
-      return std::to_string(static_cast<long long>(d));
-    }
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "%.17g", d);
-    return buf;
-  }
+  if (v.is_number() || v.is_bool()) return v.dump_compact();
   fail(source, path + ": cannot interpolate an object/array/null into a string");
 }
 
@@ -394,8 +382,7 @@ ScenarioSpec to_scenario_spec(const std::string& suite, const FileScenario& sc) 
 }
 
 void register_loaded_suite(ScenarioRegistry& reg, const LoadedSuite& suite) {
-  SuiteSpec spec = suite.suite;  // print/emit_model stay unset: file suites
-  reg.add_suite(std::move(spec));  // render the generic per-scenario table
+  reg.add_suite(suite.suite);
   for (const FileScenario& sc : suite.scenarios) {
     reg.add(to_scenario_spec(suite.suite.name, sc));
   }

@@ -1,8 +1,8 @@
 // Data-driven scenario suites: a JSON document describes a SuiteSpec plus
 // scenario templates with parameter-sweep expansion, and registers into the
-// same ScenarioRegistry the builtin suites use — so `tcdm_run run/emit`,
-// the SweepRunner, build_doc and the regression gate all work on file
-// suites unchanged.
+// ScenarioRegistry — so `tcdm_run run/emit`, the SweepRunner, build_doc and
+// the regression gate work on every suite alike. The builtin suites are
+// such documents too (builtin.hpp), embedded in the binary.
 //
 // Schema (tcdm-scenarios, version 1):
 //   {
@@ -111,7 +111,10 @@ struct LoadedSuite {
                                             const FileScenario& sc);
 
 /// Register a loaded suite into `reg` (one to_scenario_spec per scenario).
-/// Throws std::invalid_argument on duplicate suite/scenario names.
+/// The suite's C++ hooks (print, emit_model, emit) register as the caller
+/// set them; a file suite leaves them unset, so it renders the generic
+/// table and emits the default metrics. Throws std::invalid_argument on
+/// duplicate suite/scenario names.
 void register_loaded_suite(ScenarioRegistry& reg, const LoadedSuite& suite);
 
 /// load_suite_file + register_loaded_suite; returns the suite name.

@@ -103,6 +103,37 @@ TEST(ScenarioRegistry, SelectionPreservesRegistrationOrder) {
   EXPECT_EQ(names, expected);
 }
 
+/// fig3_roofline re-runs Table I's probes and Table II's kernel points,
+/// and its document spells the Table II sizes a second time: every fig3
+/// point must be its table1/table2 twin in configuration, kernel and
+/// verification.
+TEST(ScenarioRegistry, Fig3PointsMatchTheirTable1AndTable2Twins) {
+  register_builtin();
+  const ScenarioRegistry& reg = ScenarioRegistry::instance();
+  const auto fig3 = reg.suite_scenarios("fig3_roofline");
+  ASSERT_EQ(fig3.size(), 30u);
+  for (const ScenarioSpec* s : fig3) {
+    // fig3 rel: <preset>/<point>/<variant>
+    const std::string rel = s->rel();
+    const std::size_t first = rel.find('/');
+    const std::size_t last = rel.rfind('/');
+    const std::string preset = rel.substr(0, first);
+    const std::string point = rel.substr(first + 1, last - first - 1);
+    const std::string variant = rel.substr(last + 1);
+    const std::string twin_name =
+        point == "probe" ? "table1/" + preset + "/" + variant
+                         : "table2/" + preset + "/" + variant + "/" + point;
+    const ScenarioSpec* twin = reg.find(twin_name);
+    ASSERT_NE(twin, nullptr) << s->name << " has no twin " << twin_name;
+    EXPECT_EQ(s->config().to_json().dump(), twin->config().to_json().dump()) << s->name;
+    const auto k = s->kernel();
+    const auto tk = twin->kernel();
+    EXPECT_EQ(k->name(), tk->name()) << s->name;
+    EXPECT_EQ(k->size_desc(), tk->size_desc()) << s->name;
+    EXPECT_EQ(s->opts.verify, twin->opts.verify) << s->name;
+  }
+}
+
 ScenarioSpec tiny_probe_spec(const std::string& name) {
   ScenarioSpec s;
   s.name = name;
