@@ -1,5 +1,5 @@
 // Activity-based energy model (substitute for the paper's post-PnR
-// PrimeTime flow, see DESIGN.md). Every dynamic term is
+// PrimeTime flow). Every dynamic term is
 //   (simulated event count) x (per-event energy constant),
 // plus an idle/clock-tree power proportional to modeled logic area. The
 // constants are calibrated once against Table II's nominal-corner power for

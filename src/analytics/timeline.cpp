@@ -30,33 +30,23 @@ TimelineResult record_timeline(Cluster& cluster, unsigned interval, Cycle max_cy
   double last_stored = cluster.bytes_stored();
   double last_flops = cluster.total_flops();
   const Cycle start = cluster.now();
-  Cycle in_interval = 0;
-  bool halted = false;
-
-  const auto emit = [&](Cycle at) {
+  RunOutcome chunk;
+  // One run() per interval; the last may end early, at the halt or at
+  // max_cycles, and closes a partial interval.
+  while (!chunk.all_halted && cluster.now() - start < max_cycles) {
+    chunk = cluster.run(std::min<Cycle>(interval, max_cycles - (cluster.now() - start)));
     const double loaded = cluster.bytes_loaded();
     const double stored = cluster.bytes_stored();
     const double flops = cluster.total_flops();
-    out.samples.push_back(TimelineSample{at, loaded - last_loaded, stored - last_stored,
-                                         flops - last_flops});
+    out.samples.push_back(TimelineSample{cluster.now(), loaded - last_loaded,
+                                         stored - last_stored, flops - last_flops});
     last_loaded = loaded;
     last_stored = stored;
     last_flops = flops;
-  };
-
-  while (cluster.now() - start < max_cycles) {
-    halted = cluster.step();
-    ++in_interval;
-    if (in_interval == interval) {
-      emit(cluster.now());
-      in_interval = 0;
-    }
-    if (halted) break;
   }
-  if (in_interval != 0) emit(cluster.now());  // final partial interval
 
   out.total_cycles = cluster.now() - start;
-  out.all_halted = halted;
+  out.all_halted = chunk.all_halted;
   return out;
 }
 

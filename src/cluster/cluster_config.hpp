@@ -25,7 +25,7 @@ struct ClusterConfig {
   std::string name = "custom";
 
   // ---- scale ----
-  unsigned num_tiles = 4;       // one Core Complex per tile (see DESIGN.md)
+  unsigned num_tiles = 4;       // one Core Complex per tile (docs/ARCHITECTURE.md)
   unsigned vlsu_ports = 4;      // K: FPUs per Spatz == VLSU request ports
   unsigned vlen_bits = 256;     // maximum vector length
   unsigned banks_per_tile = 4;  // SPM banks per tile (>= K for full local BW)

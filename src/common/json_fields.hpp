@@ -15,7 +15,8 @@
 // it with JsonReader and throws Error("<path>/<key>: <what>") at the first
 // fault: a mistyped value or a missing required key in list order, then any
 // key no field claims. Members nest: vectors (`path[i]`), string-keyed maps
-// (`path/<name>`) and structs with their own json_fields. Leaf types beyond
+// (`path/<name>`), std::optional (read when the key is present, left empty
+// when absent) and structs with their own json_fields. Leaf types beyond
 // unsigned, uint64, double, bool and string supply a json_encode /
 // json_decode pair in their own namespace (BarrierKind does).
 #pragma once
@@ -23,6 +24,7 @@
 #include <cstdint>
 #include <initializer_list>
 #include <map>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <type_traits>
@@ -165,6 +167,8 @@ template <class Error, class T>
 void read_json(const Json& v, const std::string& path, std::vector<T>& out);
 template <class Error, class T>
 void read_json(const Json& v, const std::string& path, std::map<std::string, T>& out);
+template <class Error, class T>
+void read_json(const Json& v, const std::string& path, std::optional<T>& out);
 
 /// Strict reader over one JSON object: each visited field is read from its
 /// key (or stays as is when absent and optional); finish() then refuses any
@@ -240,6 +244,11 @@ void read_json(const Json& v, const std::string& path, std::map<std::string, T>&
   for (const auto& [name, e] : v.as_object()) {
     read_json<Error>(e, json_path(path, name), out[name]);
   }
+}
+
+template <class Error, class T>
+void read_json(const Json& v, const std::string& path, std::optional<T>& out) {
+  read_json<Error>(v, path, out.emplace());
 }
 
 /// Reads `v` into `out`, a struct with json_fields or a leaf value.

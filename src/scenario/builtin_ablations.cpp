@@ -3,6 +3,7 @@
 // All sweeps and sizes match the original per-binary benches.
 #include <cstdio>
 #include <iostream>
+#include <string>
 #include <vector>
 
 #include "src/analytics/bandwidth_model.hpp"
@@ -150,14 +151,9 @@ constexpr const char* kAblationRob = R"json({
 
 // ------------------------------------------------------ ablation_store ----
 
-// The document's problem sizes, for the printer's heading.
-constexpr unsigned kStoreCopyElems = 16384;
-constexpr unsigned kStoreTransposeN = 128;
-
 void print_ablation_store(const ResultSet& rs) {
-  std::printf(
-      "\n=== Ablation: store bursts on MP64Spatz4 (memcpy n=%u, transpose %ux%u) ===\n",
-      kStoreCopyElems, kStoreTransposeN, kStoreTransposeN);
+  std::printf("\n=== Ablation: store bursts on MP64Spatz4 (memcpy n=%s, transpose %s) ===\n",
+              rs.metrics("memcpy/st0").size.c_str(), rs.metrics("transpose/st0").size.c_str());
   TableWriter tw({"config", "memcpy [cyc]", "vs GF4", "transpose [cyc]", "vs GF4"});
   const double m0 = static_cast<double>(rs.metrics("memcpy/st0").cycles);
   const double t0 = static_cast<double>(rs.metrics("transpose/st0").cycles);
@@ -210,14 +206,12 @@ constexpr const char* kAblationStore = R"json({
 
 // ----------------------------------------------------- ablation_stride ----
 
-// The document's copy length, for the printer's heading.
-constexpr unsigned kStrideElems = 8192;
-
 void print_ablation_stride(const ResultSet& rs) {
+  const std::string& size = rs.metrics("s1/base").size;  // "<elements>s<stride>"
   std::printf(
       "\n=== Ablation: strided-burst extension on MP64Spatz4 "
-      "(strided copy, %u elements, banks/tile = 4) ===\n",
-      kStrideElems);
+      "(strided copy, %s elements, banks/tile = 4) ===\n",
+      size.substr(0, size.find('s')).c_str());
   TableWriter tw({"stride [words]", "baseline [cyc]", "GF4 [cyc]", "GF4+strided [cyc]",
                   "ext vs GF4", "ext vs baseline"});
   for (unsigned stride : {1u, 2u, 3u, 4u, 8u}) {

@@ -133,8 +133,8 @@ void print_pareto(const ResultSet& rs) {
       "zero bandwidth — the sweet spot is exactly the paper's GF4.\n"
       "On MP128Spatz8 (K = 8) gate count alone would justify GF4 or GF8;\n"
       "the paper ships GF2 because of routing CONGESTION — a wire-level\n"
-      "constraint a logic-area model cannot see. This is a documented\n"
-      "fidelity limit of the substitution (DESIGN.md section 1).\n");
+      "constraint a logic-area model cannot see. This is a fidelity limit\n"
+      "of the logic-area model (src/analytics/area_model.hpp).\n");
 }
 
 constexpr const char* kPareto = R"json({

@@ -19,14 +19,13 @@ constexpr BarrierKind kBarrierKinds[] = {BarrierKind::kCentral, BarrierKind::kTr
                                          BarrierKind::kButterfly};
 constexpr unsigned kDmaBurstLens[] = {8u, 32u};
 
-/// The document's per-cluster working set, for the printer's headings:
-/// each cluster runs its own DotP instance (weak scaling), then the DMA
-/// phase gathers kDmaWords from its ring neighbor.
+/// The document's DMA exchange, for the printer's headings: after each
+/// cluster runs its own DotP instance (weak scaling), the DMA phase gathers
+/// kDmaWords from its ring neighbor.
 /// The exchange is sized as a halo, not a bulk copy: small enough that the
 /// serialized per-burst NoC headers never dominate the kernel phase, so
 /// aggregate bandwidth stays monotone in the cluster count (the property
 /// the recorded baseline gates).
-constexpr unsigned kDotpElems = 4096;
 constexpr unsigned kDmaWords = 256;
 
 std::string rel_name(unsigned clusters, BarrierKind kind, unsigned burst_len) {
@@ -64,9 +63,10 @@ constexpr const char* kMultiCluster = R"json({
 void print_multi_cluster(const ResultSet& rs) {
   for (const unsigned burst_len : kDmaBurstLens) {
     std::printf(
-        "\n=== Multi-cluster weak scaling: DotP %u/cluster + %u-word ring DMA, "
+        "\n=== Multi-cluster weak scaling: DotP %s/cluster + %u-word ring DMA, "
         "burst %u ===\n",
-        kDotpElems, kDmaWords, burst_len);
+        rs.metrics(rel_name(1, BarrierKind::kCentral, burst_len)).size.c_str(), kDmaWords,
+        burst_len);
     TableWriter tw({"barrier", "clusters", "cycles", "agg BW [B/cyc]",
                     "NoC [B]", "BW vs n1", "FPU util"});
     for (const BarrierKind kind : kBarrierKinds) {

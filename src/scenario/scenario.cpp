@@ -6,8 +6,10 @@
 // mirror the kernel constructors exactly.
 #include "src/scenario/scenario.hpp"
 
-#include <cmath>
+#include <memory>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "src/common/json_fields.hpp"
 #include "src/kernels/axpy.hpp"
@@ -39,114 +41,11 @@ namespace tcdm::scenario {
 
 namespace {
 
+using Reader = JsonReader<std::invalid_argument>;
+
 [[noreturn]] void spec_error(const std::string& path, const std::string& what) {
   throw std::invalid_argument(path + ": " + what);
 }
-
-/// kind -> parameter names it accepts (construction-time checks enforce
-/// which of them are required and their ranges).
-struct KindInfo {
-  const char* kind;
-  std::vector<const char*> params;
-};
-
-const std::vector<KindInfo>& kind_table() {
-  static const std::vector<KindInfo> table = {
-      {"dotp", {"n", "seed"}},
-      {"axpy", {"n", "alpha", "seed"}},
-      {"fft", {"instances", "n", "seed"}},
-      {"matmul", {"n", "row_block", "seed"}},
-      {"gemv", {"m", "n", "row_block", "seed"}},
-      {"conv2d", {"h", "w", "seed"}},
-      {"jacobi2d", {"h", "w", "seed"}},
-      {"relu", {"n", "seed"}},
-      {"maxpool2x2", {"h", "w", "seed"}},
-      {"transpose", {"n", "seed"}},
-      {"random_probe", {"iters", "pattern", "seed"}},
-      {"local_stream", {"iters"}},
-      {"memcpy", {"n", "seed"}},
-      {"strided_copy", {"n", "stride_words", "seed"}},
-      {"trace_replay",
-       {"pattern", "entries_per_hart", "access_len", "hotspot_fraction",
-        "hotspot_tile", "write_fraction", "seed"}},
-  };
-  return table;
-}
-
-const KindInfo* find_kind(const std::string& kind) {
-  for (const KindInfo& k : kind_table()) {
-    if (kind == k.kind) return &k;
-  }
-  return nullptr;
-}
-
-std::string known_kinds_list() {
-  std::string out;
-  for (const std::string& k : KernelSpec::kinds()) {
-    if (!out.empty()) out += ", ";
-    out += k;
-  }
-  return out;
-}
-
-/// Typed parameter accessors over KernelSpec::params.
-class Params {
- public:
-  Params(const Json::Object& params, const std::string& path)
-      : params_(params), path_(path) {}
-
-  [[nodiscard]] unsigned uint(const std::string& name) const {
-    const Json* v = find(name);
-    if (v == nullptr) spec_error(path_ + "/" + name, "required parameter missing");
-    return uint_of(*v, name);
-  }
-  [[nodiscard]] unsigned uint_or(const std::string& name, unsigned fallback) const {
-    const Json* v = find(name);
-    return v == nullptr ? fallback : uint_of(*v, name);
-  }
-  [[nodiscard]] double num_or(const std::string& name, double fallback) const {
-    const Json* v = find(name);
-    if (v == nullptr) return fallback;
-    if (!v->is_number()) spec_error(path_ + "/" + name, "expected a number");
-    return v->as_double();
-  }
-  [[nodiscard]] std::string str_or(const std::string& name,
-                                   const std::string& fallback) const {
-    const Json* v = find(name);
-    if (v == nullptr) return fallback;
-    if (!v->is_string()) spec_error(path_ + "/" + name, "expected a string");
-    return v->as_string();
-  }
-  /// Seeds are 64-bit in every kernel constructor; JSON numbers carry
-  /// integers exactly up to 2^53, which is the accepted range here.
-  [[nodiscard]] std::uint64_t seed_or(std::uint64_t fallback) const {
-    const Json* v = find("seed");
-    if (v == nullptr) return fallback;
-    if (!v->is_uint(9007199254740992.0)) {
-      spec_error(path_ + "/seed", "expected a non-negative integer");
-    }
-    return static_cast<std::uint64_t>(v->as_double());
-  }
-  /// Required positive dimension.
-  [[nodiscard]] unsigned dim(const std::string& name) const {
-    const unsigned v = uint(name);
-    if (v == 0) spec_error(path_ + "/" + name, "must be positive");
-    return v;
-  }
-
- private:
-  [[nodiscard]] const Json* find(const std::string& name) const {
-    const auto it = params_.find(name);
-    return it == params_.end() ? nullptr : &it->second;
-  }
-  [[nodiscard]] unsigned uint_of(const Json& v, const std::string& name) const {
-    if (!v.is_uint()) spec_error(path_ + "/" + name, "expected a non-negative integer");
-    return static_cast<unsigned>(v.as_double());
-  }
-
-  const Json::Object& params_;
-  const std::string& path_;
-};
 
 /// Random-probe iteration count when a spec omits "iters": scaled down on
 /// the 1024-FPU preset to bound sweep wall-clock. Every suite that measures
@@ -173,16 +72,161 @@ TracePattern trace_pattern(const std::string& s, const std::string& path) {
                                     "\" (known: uniform, hotspot, local, neighbor)");
 }
 
-}  // namespace
+/// One walk over a kernel kind's parameter list. from_json walks it with no
+/// cluster config: names and types are checked, and nothing is built.
+/// instantiate walks it with `cfg`: required parameters must be present,
+/// dimensions positive, and the kernel is built.
+struct Walk {
+  Reader& r;
+  const ClusterConfig* cfg;
+  const std::string& path;
 
-const std::vector<std::string>& KernelSpec::kinds() {
-  static const std::vector<std::string> kinds = [] {
-    std::vector<std::string> out;
-    for (const KindInfo& k : kind_table()) out.emplace_back(k.kind);
-    return out;
-  }();
-  return kinds;
+  /// A required positive dimension.
+  unsigned dim(const char* name) {
+    unsigned v = 0;
+    r(name, v, cfg == nullptr ? Key::kOptional : Key::kRequired);
+    if (cfg != nullptr && v == 0) spec_error(path + "/" + name, "must be positive");
+    return v;
+  }
+  template <class T>
+  T opt(const char* name, T fallback) {
+    r(name, fallback);
+    return fallback;
+  }
+  double num(const char* name, double fallback) { return opt(name, Number{fallback}).value; }
+  /// Seeds are 64-bit in every kernel constructor; JSON numbers carry
+  /// integers exactly up to 2^53, which is the accepted range here.
+  std::uint64_t seed(std::uint64_t fallback) { return opt("seed", fallback); }
+
+  template <class K, class... Args>
+  std::unique_ptr<Kernel> make(Args&&... args) const {
+    return cfg == nullptr ? nullptr : std::make_unique<K>(std::forward<Args>(args)...);
+  }
+};
+
+/// Every kernel kind with its parameter list, read in list order. Names and
+/// defaults mirror the kernel constructors.
+struct KernelKind {
+  const char* name;
+  std::unique_ptr<Kernel> (*walk)(Walk& w);
+};
+
+constexpr KernelKind kKernelKinds[] = {
+    {"dotp",
+     [](Walk& w) {
+       const unsigned n = w.dim("n");
+       return w.make<DotpKernel>(n, w.seed(1));
+     }},
+    {"axpy",
+     [](Walk& w) {
+       const unsigned n = w.dim("n");
+       const double alpha = w.num("alpha", 1.5);
+       return w.make<AxpyKernel>(n, static_cast<float>(alpha), w.seed(2));
+     }},
+    {"fft",
+     [](Walk& w) {
+       const unsigned instances = w.dim("instances"), n = w.dim("n");
+       return w.make<FftKernel>(instances, n, w.seed(4));
+     }},
+    {"matmul",
+     [](Walk& w) {
+       const unsigned n = w.dim("n"), row_block = w.opt("row_block", 4u);
+       return w.make<MatmulKernel>(n, row_block, w.seed(3));
+     }},
+    {"gemv",
+     [](Walk& w) {
+       const unsigned m = w.dim("m"), n = w.dim("n"), row_block = w.opt("row_block", 4u);
+       return w.make<GemvKernel>(m, n, row_block, w.seed(11));
+     }},
+    {"conv2d",
+     [](Walk& w) {
+       const unsigned h = w.dim("h"), width = w.dim("w");
+       return w.make<Conv2dKernel>(h, width, w.seed(12));
+     }},
+    {"jacobi2d",
+     [](Walk& w) {
+       const unsigned h = w.dim("h"), width = w.dim("w");
+       return w.make<Jacobi2dKernel>(h, width, w.seed(13));
+     }},
+    {"relu",
+     [](Walk& w) {
+       const unsigned n = w.dim("n");
+       return w.make<ReluKernel>(n, w.seed(15));
+     }},
+    {"maxpool2x2",
+     [](Walk& w) {
+       const unsigned h = w.dim("h"), width = w.dim("w");
+       return w.make<MaxPoolKernel>(h, width, w.seed(16));
+     }},
+    {"transpose",
+     [](Walk& w) {
+       const unsigned n = w.dim("n");
+       return w.make<TransposeKernel>(n, w.seed(14));
+     }},
+    {"random_probe",
+     [](Walk& w) {
+       // iters 0 / omitted -> the auto-scaled count.
+       unsigned iters = w.opt("iters", 0u);
+       const auto pattern = probe_pattern(w.opt<std::string>("pattern", "uniform"), w.path);
+       const std::uint64_t seed = w.seed(5);
+       if (iters == 0 && w.cfg != nullptr) iters = probe_iters(*w.cfg);
+       return w.make<RandomProbeKernel>(iters, pattern, seed);
+     }},
+    {"local_stream",
+     [](Walk& w) {
+       const unsigned iters = w.dim("iters");
+       return w.make<LocalStreamKernel>(iters);
+     }},
+    {"memcpy",
+     [](Walk& w) {
+       const unsigned n = w.dim("n");
+       return w.make<MemcpyKernel>(n, w.seed(6));
+     }},
+    {"strided_copy",
+     [](Walk& w) {
+       const unsigned n = w.dim("n"), stride_words = w.dim("stride_words");
+       return w.make<StridedCopyKernel>(n, stride_words, w.seed(7));
+     }},
+    // The trace is generated for the concrete cluster config, so one spec
+    // replays the same pattern on baseline and burst variants.
+    {"trace_replay",
+     [](Walk& w) -> std::unique_ptr<Kernel> {
+       TraceConfig tc;
+       tc.pattern = trace_pattern(w.opt<std::string>("pattern", "uniform"), w.path);
+       w.r("entries_per_hart", tc.entries_per_hart);
+       w.r("access_len", tc.access_len);
+       tc.hotspot_fraction = w.num("hotspot_fraction", tc.hotspot_fraction);
+       w.r("hotspot_tile", tc.hotspot_tile);
+       tc.write_fraction = w.num("write_fraction", tc.write_fraction);
+       tc.seed = w.seed(tc.seed);
+       if (w.cfg == nullptr) return nullptr;
+       return std::make_unique<TraceReplayKernel>(synthetic_trace(*w.cfg, tc));
+     }},
+};
+
+/// Reads `j`'s "kind" and walks that kind's parameter list (see Walk);
+/// returns the kernel when `cfg` is given.
+std::unique_ptr<Kernel> walk_kernel(const Json& j, const std::string& path,
+                                    const ClusterConfig* cfg) {
+  Reader r(j, path);
+  std::string kind;
+  r("kind", kind, Key::kRequired);
+  for (const KernelKind& k : kKernelKinds) {
+    if (kind != k.name) continue;
+    Walk w{r, cfg, path};
+    std::unique_ptr<Kernel> kernel = k.walk(w);
+    r.finish();
+    return kernel;
+  }
+  std::string known;
+  for (const KernelKind& k : kKernelKinds) {
+    known += known.empty() ? "" : ", ";
+    known += k.name;
+  }
+  spec_error(path + "/kind", "unknown kernel kind \"" + kind + "\" (known: " + known + ")");
 }
+
+}  // namespace
 
 Json KernelSpec::to_json() const {
   Json j;
@@ -192,99 +236,15 @@ Json KernelSpec::to_json() const {
 }
 
 KernelSpec KernelSpec::from_json(const Json& j, const std::string& path) {
-  if (!j.is_object()) spec_error(path, "expected a kernel object");
-  if (!j.contains("kind")) spec_error(path + "/kind", "required");
-  const Json& kind_v = j.at("kind");
-  if (!kind_v.is_string()) spec_error(path + "/kind", "expected a string");
-
-  KernelSpec spec;
-  spec.kind = kind_v.as_string();
-  const KindInfo* info = find_kind(spec.kind);
-  if (info == nullptr) {
-    spec_error(path + "/kind", "unknown kernel kind \"" + spec.kind +
-                                   "\" (known: " + known_kinds_list() + ")");
-  }
-  for (const auto& [key, val] : j.as_object()) {
-    if (key == "kind") continue;
-    bool known = false;
-    for (const char* p : info->params) known = known || key == p;
-    if (!known) {
-      spec_error(path + "/" + key,
-                 "unknown parameter for kernel kind \"" + spec.kind + "\"");
-    }
-    spec.params[key] = val;
-  }
+  (void)walk_kernel(j, path, nullptr);
+  KernelSpec spec{j.at("kind").as_string(), j.as_object()};
+  spec.params.erase("kind");
   return spec;
 }
 
 std::unique_ptr<Kernel> KernelSpec::instantiate(const ClusterConfig& cfg,
                                                 const std::string& path) const {
-  if (find_kind(kind) == nullptr) {
-    spec_error(path + "/kind", "unknown kernel kind \"" + kind +
-                                   "\" (known: " + known_kinds_list() + ")");
-  }
-  const Params p(params, path);
-  if (kind == "dotp") {
-    return std::make_unique<DotpKernel>(p.dim("n"), p.seed_or(1));
-  }
-  if (kind == "axpy") {
-    return std::make_unique<AxpyKernel>(
-        p.dim("n"), static_cast<float>(p.num_or("alpha", 1.5)), p.seed_or(2));
-  }
-  if (kind == "fft") {
-    return std::make_unique<FftKernel>(p.dim("instances"), p.dim("n"), p.seed_or(4));
-  }
-  if (kind == "matmul") {
-    return std::make_unique<MatmulKernel>(p.dim("n"), p.uint_or("row_block", 4),
-                                          p.seed_or(3));
-  }
-  if (kind == "gemv") {
-    return std::make_unique<GemvKernel>(p.dim("m"), p.dim("n"),
-                                        p.uint_or("row_block", 4), p.seed_or(11));
-  }
-  if (kind == "conv2d") {
-    return std::make_unique<Conv2dKernel>(p.dim("h"), p.dim("w"), p.seed_or(12));
-  }
-  if (kind == "jacobi2d") {
-    return std::make_unique<Jacobi2dKernel>(p.dim("h"), p.dim("w"), p.seed_or(13));
-  }
-  if (kind == "relu") {
-    return std::make_unique<ReluKernel>(p.dim("n"), p.seed_or(15));
-  }
-  if (kind == "maxpool2x2") {
-    return std::make_unique<MaxPoolKernel>(p.dim("h"), p.dim("w"), p.seed_or(16));
-  }
-  if (kind == "transpose") {
-    return std::make_unique<TransposeKernel>(p.dim("n"), p.seed_or(14));
-  }
-  if (kind == "random_probe") {
-    // iters 0 / omitted -> the auto-scaled count.
-    unsigned iters = p.uint_or("iters", 0);
-    if (iters == 0) iters = probe_iters(cfg);
-    return std::make_unique<RandomProbeKernel>(
-        iters, probe_pattern(p.str_or("pattern", "uniform"), path), p.seed_or(5));
-  }
-  if (kind == "local_stream") {
-    return std::make_unique<LocalStreamKernel>(p.dim("iters"));
-  }
-  if (kind == "memcpy") {
-    return std::make_unique<MemcpyKernel>(p.dim("n"), p.seed_or(6));
-  }
-  if (kind == "strided_copy") {
-    return std::make_unique<StridedCopyKernel>(p.dim("n"), p.dim("stride_words"),
-                                               p.seed_or(7));
-  }
-  // trace_replay: the trace is generated for the concrete cluster config,
-  // so one spec replays the same pattern on baseline and burst variants.
-  TraceConfig tc;
-  tc.pattern = trace_pattern(p.str_or("pattern", "uniform"), path);
-  tc.entries_per_hart = p.uint_or("entries_per_hart", tc.entries_per_hart);
-  tc.access_len = p.uint_or("access_len", tc.access_len);
-  tc.hotspot_fraction = p.num_or("hotspot_fraction", tc.hotspot_fraction);
-  tc.hotspot_tile = p.uint_or("hotspot_tile", tc.hotspot_tile);
-  tc.write_fraction = p.num_or("write_fraction", tc.write_fraction);
-  tc.seed = p.seed_or(tc.seed);
-  return std::make_unique<TraceReplayKernel>(synthetic_trace(cfg, tc));
+  return walk_kernel(to_json(), path, &cfg);
 }
 
 Json runner_options_to_json(const RunnerOptions& o) { return write_json(o); }

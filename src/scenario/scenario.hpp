@@ -91,6 +91,19 @@ struct ScenarioSpec {
   }
 };
 
+/// A number in a scenario document (a kernel parameter, a sweep range
+/// bound). Unlike the shared double codec, which reads null as a NaN
+/// metric, it refuses null.
+struct Number {
+  double value = 0.0;
+};
+
+inline std::string json_decode(const Json& v, Number& out) {
+  if (!v.is_number()) return "expected a number";
+  out.value = v.as_double();
+  return {};
+}
+
 /// Declarative kernel description: a kind tag plus its (already
 /// type-checked) parameters, as every suite document spells its kernels.
 /// `instantiate` builds the kernel for a concrete cluster configuration,
@@ -103,16 +116,14 @@ struct KernelSpec {
   /// Flat object: {"kind": "...", <param>: <value>, ...}.
   [[nodiscard]] Json to_json() const;
   /// Strict: requires a known "kind" and rejects parameters the kind does
-  /// not take, naming the offending `/`-joined path (rooted at `path`).
+  /// not take or mistyped values, naming the offending `/`-joined path
+  /// (rooted at `path`). Presence and ranges are instantiate's to check.
   static KernelSpec from_json(const Json& j, const std::string& path = "kernel");
 
   /// Build the kernel; throws std::invalid_argument (path-prefixed) on
-  /// missing or out-of-range parameters.
+  /// missing, mistyped or out-of-range parameters.
   [[nodiscard]] std::unique_ptr<Kernel> instantiate(
       const ClusterConfig& cfg, const std::string& path = "kernel") const;
-
-  /// Every supported kind, for error messages and documentation.
-  [[nodiscard]] static const std::vector<std::string>& kinds();
 };
 
 /// RunnerOptions <-> JSON: verify, max_cycles, watchdog_window.

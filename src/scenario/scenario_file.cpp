@@ -8,38 +8,51 @@
 #include <sstream>
 #include <utility>
 
+#include "src/common/json_fields.hpp"
+
+namespace tcdm {
+
+// Template values are read as written: placeholder substitution fills them
+// in per sweep point before their own readers see them.
+static std::string json_decode(const Json& v, Json& out) {
+  out = v;
+  return {};
+}
+
+}  // namespace tcdm
+
 namespace tcdm::scenario {
 
 namespace {
 
-[[noreturn]] void fail(const std::string& source, const std::string& what) {
-  throw ScenarioFileError(source + ": " + what);
+/// Throws the path-named error; parse_suite prefixes the document's source.
+[[noreturn]] void fail(const std::string& path, const std::string& what) {
+  json_fail<ScenarioFileError>(path, what);
 }
 
 /// Scalar -> text for placeholder interpolation inside longer strings.
 /// Numbers and booleans print exactly as the JSON writer spells them (so
 /// "len{len}" with len = 2 becomes "len2", and 0.1 stays "0.1").
-std::string scalar_text(const Json& v, const std::string& source,
-                        const std::string& path) {
+std::string scalar_text(const Json& v, const std::string& path) {
   if (v.is_string()) return v.as_string();
   if (v.is_number() || v.is_bool()) return v.dump_compact();
-  fail(source, path + ": cannot interpolate an object/array/null into a string");
+  fail(path, "cannot interpolate an object/array/null into a string");
 }
 
 /// Resolve "{param}" or "{param.field}" against the sweep bindings.
 const Json& resolve_placeholder(const std::string& ref, const Json::Object& bindings,
-                                const std::string& source, const std::string& path) {
+                                const std::string& path) {
   const std::size_t dot = ref.find('.');
   const std::string param = dot == std::string::npos ? ref : ref.substr(0, dot);
   const auto it = bindings.find(param);
   if (it == bindings.end()) {
-    fail(source, path + ": placeholder {" + ref + "} names no sweep parameter");
+    fail(path, "placeholder {" + ref + "} names no sweep parameter");
   }
   if (dot == std::string::npos) return it->second;
   const std::string field = ref.substr(dot + 1);
   if (!it->second.is_object() || !it->second.contains(field)) {
-    fail(source, path + ": placeholder {" + ref + "}: sweep value of \"" + param +
-                     "\" has no field \"" + field + "\"");
+    fail(path, "placeholder {" + ref + "}: sweep value of \"" + param +
+                   "\" has no field \"" + field + "\"");
   }
   return it->second.at(field);
 }
@@ -47,14 +60,13 @@ const Json& resolve_placeholder(const std::string& ref, const Json::Object& bind
 /// Substitute every placeholder in `v` for one sweep point. A string that
 /// is exactly one placeholder becomes the bound value itself (type- and
 /// structure-preserving); otherwise placeholders interpolate textually.
-Json substitute(const Json& v, const Json::Object& bindings, const std::string& source,
-                const std::string& path) {
+Json substitute(const Json& v, const Json::Object& bindings, const std::string& path) {
   if (v.is_string()) {
     const std::string& s = v.as_string();
     if (s.size() >= 2 && s.front() == '{' && s.back() == '}' &&
         s.find('{', 1) == std::string::npos &&
         s.find('}') == s.size() - 1) {
-      return resolve_placeholder(s.substr(1, s.size() - 2), bindings, source, path);
+      return resolve_placeholder(s.substr(1, s.size() - 2), bindings, path);
     }
     std::string out;
     std::size_t pos = 0;
@@ -66,12 +78,11 @@ Json substitute(const Json& v, const Json::Object& bindings, const std::string& 
       }
       const std::size_t close = s.find('}', open);
       if (close == std::string::npos) {
-        fail(source, path + ": unterminated placeholder in \"" + s + "\"");
+        fail(path, "unterminated placeholder in \"" + s + "\"");
       }
       out += s.substr(pos, open - pos);
-      const Json& bound = resolve_placeholder(s.substr(open + 1, close - open - 1),
-                                              bindings, source, path);
-      out += scalar_text(bound, source, path);
+      out += scalar_text(
+          resolve_placeholder(s.substr(open + 1, close - open - 1), bindings, path), path);
       pos = close + 1;
     }
     return Json(std::move(out));
@@ -79,85 +90,123 @@ Json substitute(const Json& v, const Json::Object& bindings, const std::string& 
   if (v.is_array()) {
     Json::Array out;
     for (std::size_t i = 0; i < v.as_array().size(); ++i) {
-      out.push_back(substitute(v.as_array()[i], bindings, source,
-                               path + "[" + std::to_string(i) + "]"));
+      out.push_back(
+          substitute(v.as_array()[i], bindings, path + "[" + std::to_string(i) + "]"));
     }
     return Json(std::move(out));
   }
   if (v.is_object()) {
     Json::Object out;
     for (const auto& [key, val] : v.as_object()) {
-      out[key] = substitute(val, bindings, source, path + "/" + key);
+      out[key] = substitute(val, bindings, path + "/" + key);
     }
     return Json(std::move(out));
   }
   return v;
 }
 
-double range_num(const Json& obj, const std::string& key, const std::string& source,
-                 const std::string& path) {
-  if (!obj.contains(key)) fail(source, path + "/" + key + ": required");
-  const Json& v = obj.at(key);
-  if (!v.is_number()) fail(source, path + "/" + key + ": expected a number");
-  return v.as_double();
+/// A sweep value {"range": {...}}: arithmetic with "step" (from,
+/// from+step, ... <= to) or geometric with "mul".
+struct Range {
+  Number from;
+  Number to;
+  std::optional<Number> step;
+  std::optional<Number> mul;
+};
+
+template <class V>
+void json_fields(V& v, Range& r) {
+  v("from", r.from, Key::kRequired);
+  v("to", r.to, Key::kRequired);
+  v("step", r.step);
+  v("mul", r.mul);
+}
+
+struct RangeSweep {
+  Range range;
+};
+
+template <class V>
+void json_fields(V& v, RangeSweep& s) {
+  v("range", s.range, Key::kRequired);
+}
+
+/// One scenario template, its values as written.
+struct Template {
+  std::string name;
+  std::optional<Json::Object> sweep;
+  Json config;
+  Json kernel;
+  std::optional<Json> options;
+  std::optional<Json> expect_verified;
+  std::optional<Json> system;
+};
+
+template <class V>
+void json_fields(V& v, Template& t) {
+  v("name", t.name, Key::kRequired);
+  v("sweep", t.sweep);
+  v("config", t.config, Key::kRequired);
+  v("kernel", t.kernel, Key::kRequired);
+  v("options", t.options);
+  v("expect_verified", t.expect_verified);
+  v("system", t.system);
+}
+
+struct SuiteDoc {
+  SuiteSpec suite;
+  std::vector<Template> scenarios;
+};
+
+template <class V>
+void json_fields(V& v, SuiteDoc& d) {
+  v.schema(kScenarioSchemaName, kScenarioSchemaVersion);
+  v("suite", d.suite.name, Key::kRequired);
+  v("description", d.suite.description);
+  v("emit_by_default", d.suite.emit_by_default);
+  v("scenarios", d.scenarios);  // absent reads as empty, which is refused
 }
 
 /// Expand one sweep value list: an explicit array, or a range object.
-std::vector<Json> sweep_values(const Json& v, const std::string& source,
-                               const std::string& path) {
-  if (v.is_array()) {
-    if (v.as_array().empty()) fail(source, path + ": sweep list must be non-empty");
-    return v.as_array();
+std::vector<Json> sweep_values(const Json& v, const std::string& path) {
+  if (!v.is_object()) {
+    std::vector<Json> list;
+    read_json<ScenarioFileError>(v, path, list);
+    if (list.empty()) fail(path, "sweep list must be non-empty");
+    return list;
   }
-  if (v.is_object() && v.contains("range")) {
-    if (v.as_object().size() != 1) {
-      fail(source, path + ": a range sweep takes exactly the \"range\" key");
-    }
-    const Json& r = v.at("range");
-    if (!r.is_object()) fail(source, path + "/range: expected an object");
-    const double from = range_num(r, "from", source, path + "/range");
-    const double to = range_num(r, "to", source, path + "/range");
-    const bool has_step = r.contains("step");
-    const bool has_mul = r.contains("mul");
-    if (has_step == has_mul) {
-      fail(source, path + "/range: exactly one of \"step\" or \"mul\" is required");
-    }
-    for (const auto& [key, val] : r.as_object()) {
-      (void)val;
-      if (key != "from" && key != "to" && key != "step" && key != "mul") {
-        fail(source, path + "/range/" + key + ": unknown key");
-      }
-    }
-    // Capped inside the loops: an over-wide (or typo'd) range must produce
-    // this diagnostic, not an OOM — and the cap also bounds the iteration
-    // count below the float plateau where `x += step` stops advancing.
-    const auto check_cap = [&](const std::vector<Json>& vals) {
-      if (vals.size() > kMaxScenariosPerSuite) {
-        fail(source, path + "/range: expands to more than " +
-                         std::to_string(kMaxScenariosPerSuite) + " values");
-      }
-    };
-    std::vector<Json> out;
-    if (has_step) {
-      const double step = range_num(r, "step", source, path + "/range");
-      if (step <= 0.0) fail(source, path + "/range/step: must be positive");
-      for (double x = from; x <= to + 1e-9; x += step) {
-        out.emplace_back(x);
-        check_cap(out);
-      }
-    } else {
-      const double mul = range_num(r, "mul", source, path + "/range");
-      if (mul <= 1.0) fail(source, path + "/range/mul: must be > 1");
-      if (from <= 0.0) fail(source, path + "/range/from: must be positive with mul");
-      for (double x = from; x <= to + 1e-9; x *= mul) {
-        out.emplace_back(x);
-        check_cap(out);
-      }
-    }
-    if (out.empty()) fail(source, path + "/range: expands to no values");
-    return out;
+  RangeSweep sweep;
+  read_json<ScenarioFileError>(v, path, sweep);
+  const Range& r = sweep.range;
+  const std::string rpath = path + "/range";
+  if (r.step.has_value() == r.mul.has_value()) {
+    fail(rpath, "exactly one of \"step\" or \"mul\" is required");
   }
-  fail(source, path + ": expected a value list or {\"range\": {...}}");
+  // Capped inside the loops: an over-wide (or typo'd) range must produce
+  // this diagnostic, not an OOM — and the cap also bounds the iteration
+  // count below the float plateau where `x += step` stops advancing.
+  std::vector<Json> out;
+  const auto push = [&](double x) {
+    out.emplace_back(x);
+    if (out.size() > kMaxScenariosPerSuite) {
+      fail(rpath, "expands to more than " + std::to_string(kMaxScenariosPerSuite) +
+                      " values");
+    }
+  };
+  const double from = r.from.value;
+  const double to = r.to.value;
+  if (r.step) {
+    const double step = r.step->value;
+    if (step <= 0.0) fail(rpath + "/step", "must be positive");
+    for (double x = from; x <= to + 1e-9; x += step) push(x);
+  } else {
+    const double mul = r.mul->value;
+    if (mul <= 1.0) fail(rpath + "/mul", "must be > 1");
+    if (from <= 0.0) fail(rpath + "/from", "must be positive with mul");
+    for (double x = from; x <= to + 1e-9; x *= mul) push(x);
+  }
+  if (out.empty()) fail(rpath, "expands to no values");
+  return out;
 }
 
 struct SweepParam {
@@ -165,97 +214,81 @@ struct SweepParam {
   std::vector<Json> values;
 };
 
-std::vector<SweepParam> parse_sweep(const Json& v, const std::string& source,
-                                    const std::string& path) {
-  if (!v.is_object()) fail(source, path + ": expected an object");
+std::vector<SweepParam> parse_sweep(const Json::Object& sweep, const std::string& path) {
   std::vector<SweepParam> out;
-  for (const auto& [key, val] : v.as_object()) {
-    if (key.empty()) fail(source, path + ": empty sweep parameter name");
+  for (const auto& [key, val] : sweep) {
+    if (key.empty()) fail(path, "empty sweep parameter name");
     for (char c : key) {
       if (!std::isalnum(static_cast<unsigned char>(c)) && c != '_') {
-        fail(source, path + "/" + key +
-                         ": sweep parameter names are [A-Za-z0-9_] only");
+        fail(path + "/" + key, "sweep parameter names are [A-Za-z0-9_] only");
       }
     }
-    out.push_back({key, sweep_values(val, source, path + "/" + key)});
+    out.push_back({key, sweep_values(val, path + "/" + key)});
   }
-  if (out.empty()) fail(source, path + ": sweep must define at least one parameter");
+  if (out.empty()) fail(path, "sweep must define at least one parameter");
   return out;
 }
 
-int schema_version_of(const Json& doc, const std::string& source) {
-  if (!doc.contains("schema") || !doc.at("schema").is_string() ||
-      doc.at("schema").as_string() != kScenarioSchemaName) {
-    fail(source, "schema: expected \"" + std::string(kScenarioSchemaName) + "\"");
+/// One expanded and validated scenario for the sweep point `bindings`;
+/// `seen` holds the names expanded so far.
+FileScenario expand(const Template& tpl, const Json::Object& bindings,
+                    const std::string& tpath, std::set<std::string>& seen) {
+  FileScenario sc;
+  const Json name = substitute(Json(tpl.name), bindings, tpath + "/name");
+  if (!name.is_string() || name.as_string().empty()) {
+    fail(tpath + "/name", "expands to an empty or non-string name");
   }
-  if (!doc.contains("schema_version") || !doc.at("schema_version").is_number()) {
-    fail(source, "schema_version: required");
+  sc.rel = name.as_string();
+  if (!seen.insert(sc.rel).second) {
+    fail(tpath + "/name", "duplicate expanded scenario name \"" + sc.rel +
+                              "\" (sweep parameters must appear in the name template)");
   }
-  const double v = doc.at("schema_version").as_double();
-  if (v != kScenarioSchemaVersion) {
-    fail(source, "schema_version: unsupported version " + scalar_text(
-                     doc.at("schema_version"), source, "schema_version"));
+  const auto value = [&](const Json& v, const char* key) {
+    return substitute(v, bindings, tpath + "/" + key);
+  };
+  try {
+    sc.config = ClusterConfig::from_json(value(tpl.config, "config"), tpath + "/config");
+    sc.kernel = KernelSpec::from_json(value(tpl.kernel, "kernel"), tpath + "/kernel");
+    // Dry-run construction so parameter errors surface at load time,
+    // not mid-sweep.
+    (void)sc.kernel.instantiate(sc.config, tpath + "/kernel");
+    if (tpl.options) {
+      sc.opts = runner_options_from_json(value(*tpl.options, "options"), tpath + "/options");
+    }
+    if (tpl.system) {
+      sc.system = SystemConfig::from_json(value(*tpl.system, "system"), tpath + "/system");
+      // Cross-field check the System constructor would reject anyway —
+      // surfaced at load time with the scenario path instead.
+      sc.system->check_fits(sc.config, tpath + "/system");
+    }
+    if (tpl.expect_verified) {
+      read_json<ScenarioFileError>(value(*tpl.expect_verified, "expect_verified"),
+                                   tpath + "/expect_verified", sc.expect_verified);
+    }
+  } catch (const ScenarioFileError&) {
+    throw;
+  } catch (const std::exception& e) {
+    throw ScenarioFileError(std::string(e.what()) + " (scenario \"" + sc.rel + "\")");
   }
-  return kScenarioSchemaVersion;
+  return sc;
 }
 
-}  // namespace
-
-LoadedSuite parse_suite(const Json& doc, const std::string& source) {
-  if (!doc.is_object()) fail(source, "expected a JSON object at top level");
-  (void)schema_version_of(doc, source);
-
-  LoadedSuite out;
-  out.suite.emit_by_default = true;
-  for (const auto& [key, val] : doc.as_object()) {
-    if (key == "schema" || key == "schema_version" || key == "scenarios") {
-      continue;
-    } else if (key == "suite") {
-      if (!val.is_string() || val.as_string().empty()) {
-        fail(source, "suite: expected a non-empty string");
-      }
-      out.suite.name = val.as_string();
-      if (out.suite.name.find('/') != std::string::npos) {
-        fail(source, "suite: name must not contain '/'");
-      }
-    } else if (key == "description") {
-      if (!val.is_string()) fail(source, "description: expected a string");
-      out.suite.description = val.as_string();
-    } else if (key == "emit_by_default") {
-      if (!val.is_bool()) fail(source, "emit_by_default: expected true or false");
-      out.suite.emit_by_default = val.as_bool();
-    } else {
-      fail(source, key + ": unknown top-level key");
-    }
+LoadedSuite read_suite(const Json& doc) {
+  SuiteDoc d;
+  read_json<ScenarioFileError>(doc, "", d);
+  if (d.suite.name.empty()) fail("suite", "expected a non-empty string");
+  if (d.suite.name.find('/') != std::string::npos) {
+    fail("suite", "name must not contain '/'");
   }
-  if (out.suite.name.empty()) fail(source, "suite: required");
-  if (!doc.contains("scenarios") || !doc.at("scenarios").is_array() ||
-      doc.at("scenarios").as_array().empty()) {
-    fail(source, "scenarios: expected a non-empty array");
-  }
+  if (d.scenarios.empty()) fail("scenarios", "expected a non-empty array");
 
+  LoadedSuite out{std::move(d.suite), {}};
   std::set<std::string> seen;
-  const Json::Array& templates = doc.at("scenarios").as_array();
-  for (std::size_t t = 0; t < templates.size(); ++t) {
+  for (std::size_t t = 0; t < d.scenarios.size(); ++t) {
+    const Template& tpl = d.scenarios[t];
     const std::string tpath = "scenarios[" + std::to_string(t) + "]";
-    const Json& tpl = templates[t];
-    if (!tpl.is_object()) fail(source, tpath + ": expected an object");
-    for (const auto& [key, val] : tpl.as_object()) {
-      (void)val;
-      if (key != "name" && key != "sweep" && key != "config" && key != "kernel" &&
-          key != "options" && key != "expect_verified" && key != "system") {
-        fail(source, tpath + "/" + key + ": unknown key");
-      }
-    }
-    for (const char* req : {"name", "config", "kernel"}) {
-      if (!tpl.contains(req)) fail(source, tpath + "/" + req + ": required");
-    }
-    if (!tpl.at("name").is_string()) fail(source, tpath + "/name: expected a string");
-
     std::vector<SweepParam> sweep;
-    if (tpl.contains("sweep")) {
-      sweep = parse_sweep(tpl.at("sweep"), source, tpath + "/sweep");
-    }
+    if (tpl.sweep) sweep = parse_sweep(*tpl.sweep, tpath + "/sweep");
 
     // Odometer over the cartesian product, last parameter varying fastest.
     std::vector<std::size_t> idx(sweep.size(), 0);
@@ -264,62 +297,10 @@ LoadedSuite parse_suite(const Json& doc, const std::string& source) {
       for (std::size_t i = 0; i < sweep.size(); ++i) {
         bindings[sweep[i].name] = sweep[i].values[idx[i]];
       }
-
-      FileScenario sc;
-      const Json name_v =
-          substitute(tpl.at("name"), bindings, source, tpath + "/name");
-      if (!name_v.is_string() || name_v.as_string().empty()) {
-        fail(source, tpath + "/name: expands to an empty or non-string name");
-      }
-      sc.rel = name_v.as_string();
-      if (!seen.insert(sc.rel).second) {
-        fail(source, tpath + "/name: duplicate expanded scenario name \"" + sc.rel +
-                         "\" (sweep parameters must appear in the name template)");
-      }
-      try {
-        sc.config = ClusterConfig::from_json(
-            substitute(tpl.at("config"), bindings, source, tpath + "/config"),
-            tpath + "/config");
-        sc.kernel = KernelSpec::from_json(
-            substitute(tpl.at("kernel"), bindings, source, tpath + "/kernel"),
-            tpath + "/kernel");
-        // Dry-run construction so parameter errors surface at load time,
-        // not mid-sweep.
-        (void)sc.kernel.instantiate(sc.config, tpath + "/kernel");
-        if (tpl.contains("options")) {
-          sc.opts = runner_options_from_json(
-              substitute(tpl.at("options"), bindings, source, tpath + "/options"),
-              tpath + "/options");
-        }
-        if (tpl.contains("system")) {
-          sc.system = SystemConfig::from_json(
-              substitute(tpl.at("system"), bindings, source, tpath + "/system"),
-              tpath + "/system");
-          // Cross-field check the System constructor would reject anyway —
-          // surfaced at load time with the scenario path instead.
-          try {
-            sc.system->check_fits(sc.config, tpath + "/system");
-          } catch (const std::invalid_argument& e) {
-            fail(source, e.what());
-          }
-        }
-      } catch (const ScenarioFileError&) {
-        throw;
-      } catch (const std::exception& e) {
-        fail(source, std::string(e.what()) + " (scenario \"" + sc.rel + "\")");
-      }
-      if (tpl.contains("expect_verified")) {
-        const Json ev = substitute(tpl.at("expect_verified"), bindings, source,
-                                   tpath + "/expect_verified");
-        if (!ev.is_bool()) {
-          fail(source, tpath + "/expect_verified: expected true or false");
-        }
-        sc.expect_verified = ev.as_bool();
-      }
-      out.scenarios.push_back(std::move(sc));
+      out.scenarios.push_back(expand(tpl, bindings, tpath, seen));
       if (out.scenarios.size() > kMaxScenariosPerSuite) {
-        fail(source, "suite expands to more than " +
-                         std::to_string(kMaxScenariosPerSuite) + " scenarios");
+        fail("", "suite expands to more than " + std::to_string(kMaxScenariosPerSuite) +
+                     " scenarios");
       }
 
       std::size_t i = sweep.size();
@@ -336,6 +317,16 @@ LoadedSuite parse_suite(const Json& doc, const std::string& source) {
     }
   }
   return out;
+}
+
+}  // namespace
+
+LoadedSuite parse_suite(const Json& doc, const std::string& source) {
+  try {
+    return read_suite(doc);
+  } catch (const ScenarioFileError& e) {
+    throw ScenarioFileError(source + ": " + e.what());
+  }
 }
 
 LoadedSuite load_suite_file(const std::string& path) {

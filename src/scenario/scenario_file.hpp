@@ -33,7 +33,7 @@
 // Sweep expansion: the cartesian product over the sweep parameters (keys in
 // sorted order, the last key varying fastest) is taken, and for each point
 // every "{param}" / "{param.field}" placeholder in name/config/kernel/
-// options is substituted. A string that consists of exactly one placeholder
+// options/system/expect_verified is substituted. A string that consists of exactly one placeholder
 // is replaced by the bound value itself (numbers stay numbers, objects stay
 // objects — that is how whole kernel specs are swept); placeholders inside
 // longer strings substitute textually. Ranges are arithmetic with "step"

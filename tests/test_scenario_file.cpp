@@ -312,16 +312,16 @@ TEST(ScenarioFile, MalformedDocumentsNameTheOffendingPath) {
   } cases[] = {
       {R"({"schema": "nope", "schema_version": 1, "suite": "x",
            "scenarios": [{}]})",
-       "schema: expected \"tcdm-scenarios\""},
+       "unknown schema \"nope\" (expected \"tcdm-scenarios\")"},
       {R"({"schema": "tcdm-scenarios", "schema_version": 99, "suite": "x",
            "scenarios": [{}]})",
-       "schema_version: unsupported"},
+       "unsupported schema_version 99"},
       {R"({"schema": "tcdm-scenarios", "schema_version": 1,
            "scenarios": [{}]})",
        "suite: required"},
       {R"({"schema": "tcdm-scenarios", "schema_version": 1, "suite": "x",
            "scenario": []})",
-       "scenario: unknown top-level key"},
+       "scenario: unknown key"},
       {R"({"schema": "tcdm-scenarios", "schema_version": 1, "suite": "x",
            "scenarios": [{"name": "a", "config": {"preset": "mp4spatz4"},
                           "kernel": {"kind": "dotp", "n": 64},
@@ -355,6 +355,46 @@ TEST(ScenarioFile, MalformedDocumentsNameTheOffendingPath) {
                           "config": {"preset": "mp4spatz4"},
                           "kernel": {"kind": "dotp", "n": 64}}]})",
        "expands to more than"},
+      // Design-point numbers refuse null (the metrics codec reads it as NaN),
+      // and so do the optional template blocks.
+      {R"({"schema": "tcdm-scenarios", "schema_version": 1, "suite": "x",
+           "scenarios": [{"name": "n{n}",
+                          "sweep": {"n": {"range": {"from": 1, "to": 4, "step": null}}},
+                          "config": {"preset": "mp4spatz4"},
+                          "kernel": {"kind": "dotp", "n": 64}}]})",
+       "scenarios[0]/sweep/n/range/step: expected a number"},
+      {R"({"schema": "tcdm-scenarios", "schema_version": 1, "suite": "x",
+           "scenarios": [{"name": "n{n}",
+                          "sweep": {"n": {"range": {"from": null, "to": 4, "step": 1}}},
+                          "config": {"preset": "mp4spatz4"},
+                          "kernel": {"kind": "dotp", "n": 64}}]})",
+       "scenarios[0]/sweep/n/range/from: expected a number"},
+      {R"({"schema": "tcdm-scenarios", "schema_version": 1, "suite": "x",
+           "scenarios": [{"name": "a", "config": {"preset": "mp4spatz4"},
+                          "kernel": {"kind": "axpy", "n": 64, "alpha": null}}]})",
+       "scenarios[0]/kernel/alpha: expected a number"},
+      {R"({"schema": "tcdm-scenarios", "schema_version": 1, "suite": "x",
+           "scenarios": [{"name": "a", "config": {"preset": "mp4spatz4"},
+                          "kernel": {"kind": "trace_replay", "pattern": "hotspot",
+                                     "hotspot_fraction": null}}]})",
+       "scenarios[0]/kernel/hotspot_fraction: expected a number"},
+      {R"({"schema": "tcdm-scenarios", "schema_version": 1, "suite": "x",
+           "scenarios": [{"name": "a", "config": {"preset": "mp4spatz4"},
+                          "kernel": {"kind": "dotp", "n": 64}, "options": null}]})",
+       "scenarios[0]/options: expected an object"},
+      {R"({"schema": "tcdm-scenarios", "schema_version": 1, "suite": "x",
+           "scenarios": [{"name": "a", "sweep": null, "config": {"preset": "mp4spatz4"},
+                          "kernel": {"kind": "dotp", "n": 64}}]})",
+       "scenarios[0]/sweep: expected an object"},
+      {R"({"schema": "tcdm-scenarios", "schema_version": 1, "suite": "x",
+           "scenarios": [{"name": "a", "config": {"preset": "mp4spatz4"},
+                          "kernel": {"kind": "dotp", "n": 64},
+                          "expect_verified": null}]})",
+       "scenarios[0]/expect_verified: expected true or false"},
+      {R"({"schema": "tcdm-scenarios", "schema_version": 1, "suite": "x",
+           "scenarios": [{"name": "a", "config": {"preset": "mp4spatz4"},
+                          "kernel": {"kind": "dotp", "n": 64}, "system": null}]})",
+       "scenarios[0]/system: expected an object"},
   };
   for (const auto& c : cases) {
     try {

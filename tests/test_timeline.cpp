@@ -1,5 +1,6 @@
 // Timeline recorder tests: sampling accounting (deltas sum to run totals),
-// interval spacing, run completion, and both serialization formats.
+// interval spacing, run completion, equal samples under every stepping
+// mode, and both serialization formats.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -62,6 +63,30 @@ TEST(Timeline, SamplesAreIntervalSpaced) {
   }
   // Final sample may close a partial interval but never exceeds one.
   EXPECT_LE(t.samples.back().cycle - t.samples[t.samples.size() - 2].cycle, interval);
+}
+
+TEST(Timeline, SteppingModesGiveEqualSamples) {
+  double skipped = 0.0;
+  const auto record = [&](SteppingMode mode) {
+    Cluster cluster(test::mp4_config().with_burst(4), SimOptions{mode});
+    DotpKernel dotp(512);
+    dotp.setup(cluster);
+    TimelineResult t = record_timeline(cluster, 37);
+    skipped += cluster.cycles_skipped();
+    return t;
+  };
+  const TimelineResult cycle = record(SteppingMode::kCycleByCycle);
+  const TimelineResult event = record(SteppingMode::kEventDriven);
+  EXPECT_GT(skipped, 0.0);  // the event-driven timeline did skip quiet cycles
+  EXPECT_TRUE(event.all_halted);
+  EXPECT_EQ(event.total_cycles, cycle.total_cycles);
+  ASSERT_EQ(event.samples.size(), cycle.samples.size());
+  for (std::size_t i = 0; i < event.samples.size(); ++i) {
+    EXPECT_EQ(event.samples[i].cycle, cycle.samples[i].cycle) << i;
+    EXPECT_EQ(event.samples[i].bytes_loaded, cycle.samples[i].bytes_loaded) << i;
+    EXPECT_EQ(event.samples[i].bytes_stored, cycle.samples[i].bytes_stored) << i;
+    EXPECT_EQ(event.samples[i].flops, cycle.samples[i].flops) << i;
+  }
 }
 
 TEST(Timeline, PeakIsAtLeastAverage) {
