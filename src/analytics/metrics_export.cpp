@@ -62,22 +62,4 @@ MetricsDoc MetricsDoc::read_file(const std::string& path) {
   }
 }
 
-// ------------------------------------------- full-result serialization ----
-
-Json kernel_metrics_to_json(const KernelMetrics& m) { return write_json(m); }
-
-KernelMetrics kernel_metrics_from_json(const Json& j, const std::string& path) {
-  KernelMetrics m;
-  read_json<SchemaError>(j, path, m);
-  return m;
-}
-
-Json power_to_json(const PowerBreakdown& p) { return write_json(p); }
-
-PowerBreakdown power_from_json(const Json& j, const std::string& path) {
-  PowerBreakdown p;
-  read_json<SchemaError>(j, path, p);
-  return p;
-}
-
 }  // namespace tcdm::metrics

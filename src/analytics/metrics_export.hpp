@@ -31,7 +31,8 @@
 
 namespace tcdm {
 
-/// Field lists of a complete simulation result (json_fields.hpp). The
+/// Field lists of a complete simulation result (json_fields.hpp), which the
+/// explore memo cache persists; doubles round-trip bit for bit. The
 /// system dimension is written off-default only, so cluster-run documents
 /// stay byte-identical to those written before the system layer existed.
 template <class V>
@@ -116,19 +117,5 @@ struct MetricsDoc {
   /// Throws std::runtime_error naming `path` when unreadable or malformed.
   static MetricsDoc read_file(const std::string& path);
 };
-
-/// Full KernelMetrics / PowerBreakdown <-> JSON round trips, used wherever
-/// a complete simulation result is persisted (the explore memo cache).
-/// Doubles serialize at shortest-round-trip precision, so
-/// from_json(to_json(m)) reproduces every field bit for bit — a cached
-/// result is indistinguishable from a fresh simulation. The parsers are
-/// strict: a missing or unknown field throws SchemaError naming the
-/// `/`-joined path, so a corrupted store fails loudly instead of yielding a
-/// silently wrong result.
-[[nodiscard]] Json kernel_metrics_to_json(const KernelMetrics& m);
-[[nodiscard]] KernelMetrics kernel_metrics_from_json(const Json& j,
-                                                     const std::string& path);
-[[nodiscard]] Json power_to_json(const PowerBreakdown& p);
-[[nodiscard]] PowerBreakdown power_from_json(const Json& j, const std::string& path);
 
 }  // namespace tcdm::metrics

@@ -10,21 +10,20 @@
 
 namespace tcdm {
 
-CoreConfig ClusterConfig::core_config() const {
-  CoreConfig cc;
-  cc.snitch = snitch;
-  cc.spatz.vlen_bits = vlen_bits;
-  cc.spatz.lanes = vlsu_ports;
-  cc.spatz.rob_depth = rob_depth;
-  cc.spatz.fpu_latency = fpu_latency;
-  cc.spatz.viq_depth = viq_depth;
-  cc.spatz.sender.enable_bursts = burst_enabled;
-  cc.spatz.sender.enable_strided_bursts = strided_bursts;
-  cc.spatz.sender.enable_store_bursts = store_bursts;
-  cc.spatz.sender.max_burst_len = effective_max_burst_len();
-  cc.spatz.net_classes = Topology::class_count(level_sizes);
-  cc.spatz.banks_per_tile = banks_per_tile;
-  return cc;
+SpatzConfig ClusterConfig::spatz_config() const {
+  SpatzConfig sc;
+  sc.vlen_bits = vlen_bits;
+  sc.lanes = vlsu_ports;
+  sc.rob_depth = rob_depth;
+  sc.fpu_latency = fpu_latency;
+  sc.viq_depth = viq_depth;
+  sc.sender.enable_bursts = burst_enabled;
+  sc.sender.enable_strided_bursts = strided_bursts;
+  sc.sender.enable_store_bursts = store_bursts;
+  sc.sender.max_burst_len = effective_max_burst_len();
+  sc.net_classes = Topology::class_count(level_sizes);
+  sc.banks_per_tile = banks_per_tile;
+  return sc;
 }
 
 void ClusterConfig::validate() const {
@@ -97,10 +96,6 @@ void ClusterConfig::validate() const {
   }
   if (!(freq_ss_mhz > 0.0) || !(freq_tt_mhz > 0.0)) {
     throw std::invalid_argument(name + ": freq_ss_mhz and freq_tt_mhz must be positive");
-  }
-  if (snitch.max_scalar_loads == 0 || snitch.max_scalar_loads > kMaxScalarLoads) {
-    throw std::invalid_argument(name + ": snitch.max_scalar_loads must be in 1.." +
-                                std::to_string(kMaxScalarLoads));
   }
   if (bm.merge_slots > kMaxMergeSlots) {
     throw std::invalid_argument(name + ": bm.merge_slots must be <= " +
@@ -194,14 +189,6 @@ void json_fields(V& v, LevelLatency& l) {
 }
 
 template <class V>
-void json_fields(V& v, SnitchConfig& s) {
-  v("max_scalar_loads", s.max_scalar_loads);
-  v("mul_latency", s.mul_latency);
-  v("fpu_latency", s.fpu_latency);
-  v("taken_branch_penalty", s.taken_branch_penalty);
-}
-
-template <class V>
 void json_fields(V& v, NetworkConfig& n) {
   v("req_grouping_factor", n.req_grouping_factor);
   v("master_extra_slots", n.master_extra_slots);
@@ -237,7 +224,6 @@ void json_fields(V& v, ClusterConfig& c) {
   v("rob_depth", c.rob_depth);
   v("viq_depth", c.viq_depth);
   v("fpu_latency", c.fpu_latency);
-  v("snitch", c.snitch);
   v("bank_in_depth", c.bank_in_depth);
   v("bank_out_depth", c.bank_out_depth);
   v("net", c.net);

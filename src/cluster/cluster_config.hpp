@@ -2,9 +2,9 @@
 // instance, plus the three preset scales evaluated in the paper and the
 // `with_burst(GF)` transform that applies the TCDM Burst extension
 // (burst-enabled Sender, GF-wide response channel, doubled ROBs — §III).
-// Each of its 31 settable values (the keys of its JSON field list,
-// json_fields in cluster_config.cpp, counting the snitch/net/bm entries one
-// by one) is read by the simulator; none is derived from another or
+// Each of its 27 settable values (the keys of its JSON field list,
+// json_fields in cluster_config.cpp, counting the net/bm entries one by
+// one) is read by the simulator; none is derived from another or
 // overwritten when the cluster is built.
 #pragma once
 
@@ -39,7 +39,6 @@ struct ClusterConfig {
   unsigned rob_depth = 8;  // per VLSU port (doubled by with_burst)
   unsigned viq_depth = 4;
   unsigned fpu_latency = 3;
-  SnitchConfig snitch{};
 
   // ---- memory / interconnect microarchitecture ----
   unsigned bank_in_depth = 2;
@@ -88,7 +87,7 @@ struct ClusterConfig {
   [[nodiscard]] AddressMap address_map() const {
     return AddressMap(num_banks(), banks_per_tile, bank_words);
   }
-  [[nodiscard]] CoreConfig core_config() const;
+  [[nodiscard]] SpatzConfig spatz_config() const;
   [[nodiscard]] unsigned effective_max_burst_len() const noexcept {
     return max_burst_len == 0 ? vlsu_ports : max_burst_len;
   }
@@ -97,7 +96,7 @@ struct ClusterConfig {
   void validate() const;
 
   /// Full serialization: every architectural field, nested sub-configs
-  /// (snitch/net/bm) as objects, level latencies as {request, response}
+  /// (net/bm) as objects, level latencies as {request, response}
   /// pairs. from_json(to_json()) is the identity for any valid config.
   [[nodiscard]] Json to_json() const;
 

@@ -21,7 +21,7 @@ Tile::Tile(const ClusterConfig& cfg, TileId id, HierNetwork& net, const AddressM
     banks_.back().attach_busy_counter(&busy_banks_);
   }
   bm_.attach_stats(stats, prefix + ".bm");
-  cc_ = std::make_unique<CoreComplex>(cfg.core_config(), id, cfg.num_cores(), barrier);
+  cc_ = std::make_unique<CoreComplex>(cfg.spatz_config(), id, cfg.num_cores(), barrier);
   cc_->attach_stats(stats, "cc" + std::to_string(id));
 }
 

@@ -69,14 +69,6 @@ const Json& Json::at(const std::string& key) const {
   return it->second;
 }
 
-double Json::get(const std::string& key, double fallback) const {
-  return contains(key) ? at(key).as_double() : fallback;
-}
-
-std::string Json::get(const std::string& key, const std::string& fallback) const {
-  return contains(key) ? at(key).as_string() : fallback;
-}
-
 void Json::set(const std::string& key, Json v) {
   if (is_null()) value_ = Object{};
   as_object()[key] = std::move(v);

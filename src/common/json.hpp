@@ -67,12 +67,10 @@ class Json {
   [[nodiscard]] Array& as_array();
   [[nodiscard]] Object& as_object();
 
-  /// Object field access. `at` throws JsonError when absent; `get` returns
-  /// the fallback. `set` turns a null value into an object on first use.
+  /// Object field access. `at` throws JsonError when absent. `set` turns a
+  /// null value into an object on first use.
   [[nodiscard]] bool contains(const std::string& key) const;
   [[nodiscard]] const Json& at(const std::string& key) const;
-  [[nodiscard]] double get(const std::string& key, double fallback) const;
-  [[nodiscard]] std::string get(const std::string& key, const std::string& fallback) const;
   void set(const std::string& key, Json v);
 
   /// Serialize with 2-space indentation and a trailing newline at top level.

@@ -199,13 +199,13 @@ class JsonReader {
     SchemaHeader h;
     json_fields(*this, h);
     if (h.schema != name) {
-      json_fail<Error>(path_, "unknown schema \"" + h.schema + "\" (expected \"" + name +
-                                  "\")");
+      json_fail<Error>(json_path(path_, "schema"), "unknown schema \"" + h.schema +
+                                                       "\" (expected \"" + name + "\")");
     }
     if (h.schema_version != version) {
-      json_fail<Error>(path_, "unsupported schema_version " +
-                                  std::to_string(h.schema_version) + " (expected " +
-                                  std::to_string(version) + ")");
+      json_fail<Error>(json_path(path_, "schema_version"),
+                       "unsupported schema_version " + std::to_string(h.schema_version) +
+                           " (expected " + std::to_string(version) + ")");
     }
   }
 

@@ -29,12 +29,10 @@ Topology::Topology(std::vector<unsigned> level_sizes, std::vector<LevelLatency> 
   num_classes_ = 1;
   class_req_lat_ = {level_latency_[0].request};
   class_rsp_lat_ = {level_latency_[0].response};
-  class_level_ = {0};
   for (unsigned lvl = 1; lvl < level_sizes_.size(); ++lvl) {
     for (unsigned sib = 0; sib + 1 < level_sizes_[lvl]; ++sib) {
       class_req_lat_.push_back(level_latency_[lvl].request);
       class_rsp_lat_.push_back(level_latency_[lvl].response);
-      class_level_.push_back(lvl);
       ++num_classes_;
     }
   }

@@ -20,55 +20,6 @@ bool is_vector_memory(Opcode op) noexcept {
   }
 }
 
-bool is_vector_arith(Opcode op) noexcept {
-  switch (op) {
-    case Opcode::kVfaddVV:
-    case Opcode::kVfsubVV:
-    case Opcode::kVfmulVV:
-    case Opcode::kVfmaccVV:
-    case Opcode::kVfnmsacVV:
-    case Opcode::kVfmaxVV:
-    case Opcode::kVfminVV:
-    case Opcode::kVfaddVF:
-    case Opcode::kVfmulVF:
-    case Opcode::kVfmaccVF:
-    case Opcode::kVfmaxVF:
-    case Opcode::kVfmvVF:
-    case Opcode::kVfredusum:
-      return true;
-    default:
-      return false;
-  }
-}
-
-bool is_branch(Opcode op) noexcept {
-  switch (op) {
-    case Opcode::kBeq:
-    case Opcode::kBne:
-    case Opcode::kBlt:
-    case Opcode::kBge:
-    case Opcode::kBltu:
-    case Opcode::kBgeu:
-    case Opcode::kJal:
-      return true;
-    default:
-      return false;
-  }
-}
-
-bool is_scalar_memory(Opcode op) noexcept {
-  switch (op) {
-    case Opcode::kLw:
-    case Opcode::kSw:
-    case Opcode::kFlw:
-    case Opcode::kFsw:
-    case Opcode::kAmoaddW:
-      return true;
-    default:
-      return false;
-  }
-}
-
 const char* opcode_name(Opcode op) noexcept {
   switch (op) {
     case Opcode::kNop: return "nop";

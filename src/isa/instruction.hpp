@@ -127,9 +127,6 @@ struct Instr {
 /// Classification helpers used by the Snitch dispatcher and the tests.
 [[nodiscard]] bool is_vector(Opcode op) noexcept;
 [[nodiscard]] bool is_vector_memory(Opcode op) noexcept;
-[[nodiscard]] bool is_vector_arith(Opcode op) noexcept;
-[[nodiscard]] bool is_branch(Opcode op) noexcept;
-[[nodiscard]] bool is_scalar_memory(Opcode op) noexcept;
 [[nodiscard]] const char* opcode_name(Opcode op) noexcept;
 
 }  // namespace tcdm

@@ -40,8 +40,6 @@ class MemLayout {
     return base;
   }
 
-  [[nodiscard]] std::uint64_t used_bytes() const noexcept { return next_; }
-  [[nodiscard]] std::uint64_t capacity() const noexcept { return limit_; }
 
  private:
   std::uint64_t stripe_bytes_;

@@ -73,24 +73,37 @@ TracePattern trace_pattern(const std::string& s, const std::string& path) {
 }
 
 /// One walk over a kernel kind's parameter list. from_json walks it with no
-/// cluster config: names and types are checked, and nothing is built.
-/// instantiate walks it with `cfg`: required parameters must be present,
-/// dimensions positive, and the kernel is built.
+/// cluster config, through the strict reader: names and types are checked,
+/// and nothing is built. instantiate walks it with `cfg`, straight over the
+/// already-checked parameters: required ones must be present, dimensions
+/// positive, and the kernel is built.
 struct Walk {
-  Reader& r;
+  Reader* strict;  // from_json only
+  const Json::Object& params;
   const ClusterConfig* cfg;
   const std::string& path;
+
+  template <class T>
+  void operator()(const char* name, T& out, Key presence = Key::kOptional) {
+    if (strict != nullptr) return (*strict)(name, out);
+    const auto it = params.find(name);
+    if (it != params.end()) {
+      read_json<std::invalid_argument>(it->second, json_path(path, name), out);
+    } else if (presence == Key::kRequired) {
+      spec_error(json_path(path, name), "required key missing");
+    }
+  }
 
   /// A required positive dimension.
   unsigned dim(const char* name) {
     unsigned v = 0;
-    r(name, v, cfg == nullptr ? Key::kOptional : Key::kRequired);
+    (*this)(name, v, Key::kRequired);
     if (cfg != nullptr && v == 0) spec_error(path + "/" + name, "must be positive");
     return v;
   }
   template <class T>
   T opt(const char* name, T fallback) {
-    r(name, fallback);
+    (*this)(name, fallback);
     return fallback;
   }
   double num(const char* name, double fallback) { return opt(name, Number{fallback}).value; }
@@ -193,10 +206,10 @@ constexpr KernelKind kKernelKinds[] = {
      [](Walk& w) -> std::unique_ptr<Kernel> {
        TraceConfig tc;
        tc.pattern = trace_pattern(w.opt<std::string>("pattern", "uniform"), w.path);
-       w.r("entries_per_hart", tc.entries_per_hart);
-       w.r("access_len", tc.access_len);
+       w("entries_per_hart", tc.entries_per_hart);
+       w("access_len", tc.access_len);
        tc.hotspot_fraction = w.num("hotspot_fraction", tc.hotspot_fraction);
-       w.r("hotspot_tile", tc.hotspot_tile);
+       w("hotspot_tile", tc.hotspot_tile);
        tc.write_fraction = w.num("write_fraction", tc.write_fraction);
        tc.seed = w.seed(tc.seed);
        if (w.cfg == nullptr) return nullptr;
@@ -204,19 +217,10 @@ constexpr KernelKind kKernelKinds[] = {
      }},
 };
 
-/// Reads `j`'s "kind" and walks that kind's parameter list (see Walk);
-/// returns the kernel when `cfg` is given.
-std::unique_ptr<Kernel> walk_kernel(const Json& j, const std::string& path,
-                                    const ClusterConfig* cfg) {
-  Reader r(j, path);
-  std::string kind;
-  r("kind", kind, Key::kRequired);
+/// The kernel kind named `kind`; an unknown one fails naming `path`/kind.
+const KernelKind& kernel_kind(const std::string& kind, const std::string& path) {
   for (const KernelKind& k : kKernelKinds) {
-    if (kind != k.name) continue;
-    Walk w{r, cfg, path};
-    std::unique_ptr<Kernel> kernel = k.walk(w);
-    r.finish();
-    return kernel;
+    if (kind == k.name) return k;
   }
   std::string known;
   for (const KernelKind& k : kKernelKinds) {
@@ -236,15 +240,21 @@ Json KernelSpec::to_json() const {
 }
 
 KernelSpec KernelSpec::from_json(const Json& j, const std::string& path) {
-  (void)walk_kernel(j, path, nullptr);
-  KernelSpec spec{j.at("kind").as_string(), j.as_object()};
+  Reader r(j, path);
+  KernelSpec spec;
+  r("kind", spec.kind, Key::kRequired);
+  Walk w{&r, j.as_object(), nullptr, path};
+  (void)kernel_kind(spec.kind, path).walk(w);
+  r.finish();
+  spec.params = j.as_object();
   spec.params.erase("kind");
   return spec;
 }
 
 std::unique_ptr<Kernel> KernelSpec::instantiate(const ClusterConfig& cfg,
                                                 const std::string& path) const {
-  return walk_kernel(to_json(), path, &cfg);
+  Walk w{nullptr, params, &cfg, path};
+  return kernel_kind(kind, path).walk(w);
 }
 
 Json runner_options_to_json(const RunnerOptions& o) { return write_json(o); }

@@ -4,12 +4,12 @@
 
 namespace tcdm {
 
-CoreComplex::CoreComplex(const CoreConfig& cfg, CoreId hartid, unsigned num_harts,
+CoreComplex::CoreComplex(const SpatzConfig& cfg, CoreId hartid, unsigned num_harts,
                          Barrier& barrier)
     : hartid_(hartid),
       barrier_(barrier),
-      snitch_(cfg.snitch, hartid, num_harts),
-      spatz_(cfg.spatz) {}
+      snitch_(hartid, num_harts),
+      spatz_(cfg) {}
 
 void CoreComplex::attach_stats(StatsRegistry& reg, const std::string& prefix) {
   snitch_.attach_stats(reg, prefix + ".snitch");

@@ -5,11 +5,6 @@
 
 namespace tcdm {
 
-Snitch::Snitch(const SnitchConfig& cfg, CoreId hartid, unsigned num_harts)
-    : cfg_(cfg), hartid_(hartid), num_harts_(num_harts) {
-  assert(cfg_.max_scalar_loads <= pending_.size());
-}
-
 void Snitch::attach_stats(StatsRegistry& reg, const std::string& prefix) {
   instrs_ = reg.counter(prefix + ".instrs");
   scalar_flops_ = reg.counter(prefix + ".scalar_flops");
@@ -43,7 +38,6 @@ void Snitch::load_program(const Program* prog, Cycle start_cycle) {
 }
 
 int Snitch::alloc_pending() {
-  if (pending_count_ >= cfg_.max_scalar_loads) return -1;
   for (std::size_t i = 0; i < pending_.size(); ++i) {
     if (!pending_[i].valid) return static_cast<int>(i);
   }
@@ -236,7 +230,7 @@ void Snitch::cycle(Cycle now, TileServices& tile, SpatzFrontend& spatz,
     case Opcode::kMul:
       if (!need_x(i.rs1) || !need_x(i.rs2) || !need_x(i.rd)) return;
       set_x(i.rd, a() * b());
-      if (i.rd != 0) x_ready_[i.rd] = now + cfg_.mul_latency;
+      if (i.rd != 0) x_ready_[i.rd] = now + kMulLatency;
       break;
     case Opcode::kAddi:
     case Opcode::kSlli:
@@ -345,13 +339,13 @@ void Snitch::cycle(Cycle now, TileServices& tile, SpatzFrontend& spatz,
         case Opcode::kFmulS: f_[i.rd] = f_[i.rs1] * f_[i.rs2]; break;
         default: break;
       }
-      f_ready_[i.rd] = now + cfg_.fpu_latency;
+      f_ready_[i.rd] = now + kScalarFpuLatency;
       scalar_flops_.inc(1);
       break;
     case Opcode::kFmaddS:
       if (!need_f(i.rs1) || !need_f(i.rs2) || !need_f(i.rs3) || !need_f(i.rd)) return;
       f_[i.rd] = f_[i.rs1] * f_[i.rs2] + f_[i.rs3];
-      f_ready_[i.rd] = now + cfg_.fpu_latency;
+      f_ready_[i.rd] = now + kScalarFpuLatency;
       scalar_flops_.inc(2);
       break;
     case Opcode::kFmvWX:
@@ -399,9 +393,7 @@ void Snitch::cycle(Cycle now, TileServices& tile, SpatzFrontend& spatz,
   if (done) {
     instrs_.inc();
     pc_ = next_pc;
-    if (taken && cfg_.taken_branch_penalty > 0) {
-      stall_until_ = now + 1 + cfg_.taken_branch_penalty;
-    }
+    if (taken) stall_until_ = now + 1 + kTakenBranchPenalty;
     assert(pc_ < prog_->size() && "fell off the end of the program (missing halt?)");
   }
 }

@@ -20,18 +20,17 @@
 namespace tcdm {
 
 /// Outstanding scalar loads / AMOs a Snitch can track (its pending table).
-inline constexpr unsigned kMaxScalarLoads = 8;
-
-struct SnitchConfig {
-  unsigned max_scalar_loads = 4;   // outstanding scalar loads / AMOs (<= kMaxScalarLoads)
-  unsigned mul_latency = 3;        // integer multiply result latency
-  unsigned fpu_latency = 4;        // scalar float op result latency
-  unsigned taken_branch_penalty = 1;  // bubble cycles after a taken branch
-};
+inline constexpr unsigned kMaxScalarLoads = 4;
+/// Integer multiply result latency in cycles.
+inline constexpr unsigned kMulLatency = 3;
+/// Scalar float op result latency in cycles.
+inline constexpr unsigned kScalarFpuLatency = 4;
+/// Bubble cycles after a taken branch.
+inline constexpr unsigned kTakenBranchPenalty = 1;
 
 class Snitch {
  public:
-  Snitch(const SnitchConfig& cfg, CoreId hartid, unsigned num_harts);
+  Snitch(CoreId hartid, unsigned num_harts) : hartid_(hartid), num_harts_(num_harts) {}
 
   void attach_stats(StatsRegistry& reg, const std::string& prefix);
 
@@ -100,7 +99,6 @@ class Snitch {
 
   bool exec_vector(const Instr& i, Cycle now, SpatzFrontend& spatz);
 
-  SnitchConfig cfg_;
   CoreId hartid_;
   unsigned num_harts_;
   const Program* prog_ = nullptr;

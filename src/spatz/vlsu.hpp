@@ -10,7 +10,7 @@
 // can proceed.
 //
 // Stores are posted: they are issued narrow (the paper bursts only loads),
-// counted in `outstanding_stores` and acknowledged out of the response
+// counted in `outstanding_stores_` and acknowledged out of the response
 // network; barriers wait for the counter to drain.
 //
 // issue()/dispatch run inside the core phase: everything here is per-core
@@ -63,7 +63,6 @@ class Vlsu {
   }
   [[nodiscard]] BurstSender& sender() noexcept { return sender_; }
 
-  [[nodiscard]] unsigned outstanding_stores() const noexcept { return outstanding_stores_; }
   [[nodiscard]] unsigned ports() const noexcept { return ports_; }
 
   /// Nothing active, staged, or outstanding (barrier / halt drain).

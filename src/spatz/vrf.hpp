@@ -20,9 +20,6 @@ class VectorRegFile {
     words_.assign(static_cast<std::size_t>(kNumVRegs) * epr_, 0);
   }
 
-  /// Elements per single register (VLEN / SEW).
-  [[nodiscard]] unsigned elems_per_reg() const noexcept { return epr_; }
-
   /// Max vl for a given register grouping.
   [[nodiscard]] unsigned vlmax(Lmul lmul) const noexcept {
     return epr_ * static_cast<unsigned>(lmul);

@@ -17,6 +17,14 @@ void fnv_word(std::uint64_t& h, Word w) {
   }
 }
 
+/// Latency unit of the global barrier: the central kind's release latency,
+/// the per-link latency of the tree/butterfly kinds.
+constexpr unsigned kBarrierLinkLatency = 8;
+/// Payload words per cycle one cluster's NoC link can stream.
+constexpr unsigned kNocLinkWords = 4;
+/// Global L2 words/cycle budget shared by all concurrently streaming clusters.
+constexpr unsigned kL2BandwidthWords = 32;
+
 const SystemConfig& validated(const SystemConfig& sys) {
   sys.validate();
   return sys;
@@ -28,7 +36,7 @@ System::System(const SystemConfig& sys, const ClusterConfig& cluster_cfg,
                const SimOptions& sim)
     : cfg_(validated(sys)),
       stepping_(sim.stepping),
-      global_barrier_(cfg_.barrier_kind, cfg_.num_clusters, cfg_.barrier_link_latency,
+      global_barrier_(cfg_.barrier_kind, cfg_.num_clusters, kBarrierLinkLatency,
                       cfg_.barrier_radix),
       watchdog_(100'000) {
   cfg_.check_fits(cluster_cfg, cfg_.name);
@@ -74,7 +82,7 @@ void System::dma_cycle(Cycle now) {
   // One shared L2 budget per cycle; grant priority rotates with the cycle
   // number (cycle-derived arbitration, the in-cluster D2 idiom) so no
   // cluster starves and the outcome is a pure function of (now, state).
-  unsigned budget = cfg_.l2_bandwidth_words;
+  unsigned budget = kL2BandwidthWords;
   const unsigned n = num_clusters();
   for (unsigned k = 0; k < n; ++k) {
     const unsigned c = (static_cast<unsigned>(now % n) + k) % n;
@@ -85,7 +93,7 @@ void System::dma_cycle(Cycle now) {
     if (d.state != DmaEngine::State::kStream || budget == 0) continue;
     const unsigned src = (c + 1) % n;
     const unsigned in_burst = cfg_.dma_burst_len - (d.words_done % cfg_.dma_burst_len);
-    unsigned grant = std::min(std::min(budget, cfg_.noc_link_words),
+    unsigned grant = std::min(std::min(budget, kNocLinkWords),
                               std::min(in_burst, cfg_.dma_words - d.words_done));
     budget -= grant;
     while (grant-- > 0) {

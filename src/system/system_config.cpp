@@ -28,11 +28,6 @@ void json_fields(V& v, SystemConfig& c) {
   // the explore cache keys hashed from them) stay minimal.
   v.omit_at("barrier_kind", c.barrier_kind, BarrierKind::kCentral);
   v.omit_at("barrier_radix", c.barrier_radix, 2u);
-  v("barrier_link_latency", c.barrier_link_latency);
-  v("noc_hop_latency", c.noc_hop_latency);
-  v("noc_link_words", c.noc_link_words);
-  v("l2_latency", c.l2_latency);
-  v("l2_bandwidth_words", c.l2_bandwidth_words);
   v("dma_burst_len", c.dma_burst_len);
   v("dma_words", c.dma_words);
 }
@@ -44,15 +39,6 @@ void SystemConfig::validate() const {
   }
   if (barrier_radix < 2) {
     throw std::invalid_argument(name + ": barrier_radix must be >= 2");
-  }
-  if (barrier_link_latency == 0) {
-    throw std::invalid_argument(name + ": barrier_link_latency must be >= 1");
-  }
-  if (noc_hop_latency == 0 || noc_link_words == 0) {
-    throw std::invalid_argument(name + ": NoC hop latency and link width must be >= 1");
-  }
-  if (l2_latency == 0 || l2_bandwidth_words == 0) {
-    throw std::invalid_argument(name + ": L2 latency and bandwidth must be >= 1");
   }
   if (dma_burst_len == 0) {
     throw std::invalid_argument(name + ": dma_burst_len must be >= 1");

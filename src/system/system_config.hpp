@@ -1,6 +1,7 @@
 // System configuration: the scale-out parameters layered above one
 // ClusterConfig — how many clusters, the global barrier that synchronizes
-// them, and the modeled NoC/L2 the inter-cluster DMA phase crosses. The
+// them, and the inter-cluster DMA phase. The NoC/L2 transport that phase
+// crosses is fixed (burst_header_latency(), System::dma_cycle()). The
 // per-cluster architecture stays a plain ClusterConfig; a System is always
 // N identical clusters (MemPool's homogeneous group recipe).
 #pragma once
@@ -23,21 +24,6 @@ struct SystemConfig {
   // ---- global barrier (inter-cluster synchronization) ----
   BarrierKind barrier_kind = BarrierKind::kCentral;
   unsigned barrier_radix = 2;        // tree kind only (>= 2)
-  /// Latency unit of the global barrier: the central kind's release
-  /// latency, the per-link latency of the tree/butterfly kinds.
-  unsigned barrier_link_latency = 8;
-
-  // ---- NoC / L2 model ----
-  /// Cycles per NoC hop; a DMA burst header pays a round trip through the
-  /// radix tree to the L2 (2 * hops * this) before data flows.
-  unsigned noc_hop_latency = 4;
-  /// Payload words per cycle one cluster's NoC link can stream.
-  unsigned noc_link_words = 4;
-  /// L2 access latency added to every DMA burst header.
-  unsigned l2_latency = 16;
-  /// Global L2 words/cycle budget shared by all concurrently streaming
-  /// clusters (per-cycle grants rotate with the cycle number).
-  unsigned l2_bandwidth_words = 32;
 
   // ---- inter-cluster DMA phase ----
   /// Words per DMA burst (each burst pays one header).
@@ -59,7 +45,9 @@ struct SystemConfig {
   /// Cycles between issuing a DMA burst and its first payload word: one
   /// request round trip through the NoC plus the L2 access.
   [[nodiscard]] unsigned burst_header_latency() const noexcept {
-    return 2 * noc_hops() * noc_hop_latency + l2_latency;
+    constexpr unsigned kNocHopLatency = 4;  // cycles per NoC hop
+    constexpr unsigned kL2Latency = 16;     // L2 access cycles
+    return 2 * noc_hops() * kNocHopLatency + kL2Latency;
   }
 
   /// Throws std::invalid_argument when parameters are inconsistent.

@@ -134,7 +134,10 @@ TEST(ConfigHash, KeyIsStableAcrossProcessRestarts) {
   // iteration-order dependence. Lock known digests, recorded from an
   // earlier build, so an accidental serialization change (which would
   // orphan every existing cache) fails loudly here instead of silently
-  // invalidating stores in the field.
+  // invalidating stores in the field. Re-recorded once, on purpose, when
+  // the Snitch latencies and the NoC/L2 transport settings became
+  // constants and left the serialized config (caches written before that
+  // no longer match any key).
   FileScenario p;
   p.config = ClusterConfig::by_name("mp4spatz4");
   p.kernel = scenario::KernelSpec::from_json([] {
@@ -143,25 +146,25 @@ TEST(ConfigHash, KeyIsStableAcrossProcessRestarts) {
     k.set("n", 256);
     return k;
   }());
-  EXPECT_EQ(canonical_key(p), "d63baa53c4169dc96c5aa98f88c81c71");
+  EXPECT_EQ(canonical_key(p), "77cf8c7768273c21dfe6646e1a4224da");
   SystemConfig sys;
   sys.name = "sys";
   sys.num_clusters = 4;
   sys.dma_words = 512;
   p.system = sys;
-  EXPECT_EQ(canonical_key(p), "ab13136c3f75093c974bfbe731ea21e7");
+  EXPECT_EQ(canonical_key(p), "0b83e4e5611d3e7ae7e6fb2a00343a32");
   // Off-default barrier fields, which the writer omits at their defaults.
   sys.barrier_kind = BarrierKind::kTree;
   sys.barrier_radix = 4;
   p.system = sys;
-  EXPECT_EQ(canonical_key(p), "48938f98401c2e3b4a0576d0bf2dacb5");
+  EXPECT_EQ(canonical_key(p), "79d6a358753f89b1ddc67cf5f149d2c0");
   // Every burst extension on: GF4 responses, strided and store bursts.
   p.system.reset();
   p.config = ClusterConfig::by_name("mp4spatz4")
                  .with_burst(4)
                  .with_strided_bursts()
                  .with_store_bursts(2);
-  EXPECT_EQ(canonical_key(p), "b837c4cc639d8314d43038e2a6351e38");
+  EXPECT_EQ(canonical_key(p), "a9a12234fa79a200faf739a6014a74bc");
   EXPECT_EQ(digest128("tcdm"), "94475cbafd48273673bcc5a5250a8ecb");
   EXPECT_NE(digest128("tcdm"), digest128("tcdM"));
 }
@@ -441,17 +444,23 @@ TEST(MemoStore, CorruptMiddleLineNamesPathAndLine) {
 
 TEST(MemoStore, VersionMismatchIsRejectedWithThePath) {
   const std::string path = scratch("memo_version.jsonl");
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out << "{\"schema\":\"tcdm-explore-cache\",\"schema_version\":999}\n";
-  }
-  try {
-    MemoStore store(path);
-    FAIL() << "expected ExploreFileError";
-  } catch (const ExploreFileError& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find(path), std::string::npos) << msg;
-    EXPECT_NE(msg.find("schema_version"), std::string::npos) << msg;
+  const struct {
+    const char* header;
+    const char* expected;  // the error after `path:1/`
+  } cases[] = {
+      {R"({"schema":"tcdm-explore-cache","schema_version":999})",
+       "schema_version: unsupported schema_version 999"},
+      {R"({"schema":"nope","schema_version":1})", "schema: unknown schema \"nope\""},
+  };
+  for (const auto& c : cases) {
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << c.header << "\n";
+    try {
+      MemoStore store(path);
+      ADD_FAILURE() << "expected ExploreFileError for " << c.header;
+    } catch (const ExploreFileError& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find(path + ":1/" + c.expected), std::string::npos) << msg;
+    }
   }
 }
 

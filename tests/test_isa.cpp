@@ -86,17 +86,6 @@ TEST(IsaClassification, VectorPredicates) {
   EXPECT_TRUE(is_vector_memory(Opcode::kVsse32));
   EXPECT_TRUE(is_vector_memory(Opcode::kVsuxei32));
   EXPECT_FALSE(is_vector_memory(Opcode::kVfaddVV));
-
-  EXPECT_TRUE(is_vector_arith(Opcode::kVfmaccVV));
-  EXPECT_TRUE(is_vector_arith(Opcode::kVfmvVF));
-  EXPECT_FALSE(is_vector_arith(Opcode::kVle32));
-
-  EXPECT_TRUE(is_branch(Opcode::kBgeu));
-  EXPECT_TRUE(is_branch(Opcode::kJal));
-  EXPECT_FALSE(is_branch(Opcode::kHalt));
-
-  EXPECT_TRUE(is_scalar_memory(Opcode::kAmoaddW));
-  EXPECT_FALSE(is_scalar_memory(Opcode::kVle32));
 }
 
 TEST(IsaClassification, EveryOpcodeHasName) {

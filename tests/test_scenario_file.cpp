@@ -50,6 +50,50 @@ TEST(ClusterConfigJson, PresetPlusBurstSugarMatchesTheCppTransforms) {
   EXPECT_EQ(from_file.to_json().dump(), from_cpp.to_json().dump());
 }
 
+/// Keys of a written config, nested objects (net, bm) flattened to
+/// `block.key`, in key order.
+std::vector<std::string> settable_keys(const Json& j) {
+  std::vector<std::string> keys;
+  for (const auto& [key, value] : j.as_object()) {
+    if (!value.is_object()) {
+      keys.push_back(key);
+      continue;
+    }
+    for (const auto& [sub, unused] : value.as_object()) {
+      (void)unused;
+      keys.push_back(key + "." + sub);
+    }
+  }
+  return keys;
+}
+
+/// Every settable value is a key the simulator reads; a new one must be
+/// added here on purpose (the cluster_config.hpp header counts them).
+TEST(ClusterConfigJson, SettableValuesArePinned) {
+  const std::vector<std::string> cluster = settable_keys(
+      ClusterConfig::mp4spatz4().with_burst(4).with_store_bursts(2).to_json());
+  const std::vector<std::string> expected_cluster = {
+      "bank_in_depth",       "bank_out_depth",  "bank_words",
+      "banks_per_tile",      "barrier_release_latency", "bm.fifo_depth",
+      "bm.merge_slots",      "burst_enabled",   "fpu_latency",
+      "freq_ss_mhz",         "freq_tt_mhz",     "grouping_factor",
+      "level_latency",       "level_sizes",     "max_burst_len",
+      "name",                "net.master_extra_slots", "net.req_grouping_factor",
+      "net.slave_depth",     "num_tiles",       "rob_depth",
+      "start_stagger_cycles", "store_bursts",   "strided_bursts",
+      "viq_depth",           "vlen_bits",       "vlsu_ports"};
+  EXPECT_EQ(cluster, expected_cluster);
+  EXPECT_EQ(cluster.size(), 27u);
+
+  SystemConfig sys;
+  sys.barrier_kind = BarrierKind::kTree;  // written only off their defaults
+  sys.barrier_radix = 4;
+  const std::vector<std::string> expected_system = {
+      "barrier_kind", "barrier_radix", "dma_burst_len",
+      "dma_words",    "name",          "num_clusters"};
+  EXPECT_EQ(settable_keys(sys.to_json()), expected_system);
+}
+
 TEST(ClusterConfigJson, UnknownKeyNamesTheOffendingPath) {
   Json j;
   j.set("preset", "mp4spatz4");
@@ -312,10 +356,10 @@ TEST(ScenarioFile, MalformedDocumentsNameTheOffendingPath) {
   } cases[] = {
       {R"({"schema": "nope", "schema_version": 1, "suite": "x",
            "scenarios": [{}]})",
-       "unknown schema \"nope\" (expected \"tcdm-scenarios\")"},
+       "schema: unknown schema \"nope\" (expected \"tcdm-scenarios\")"},
       {R"({"schema": "tcdm-scenarios", "schema_version": 99, "suite": "x",
            "scenarios": [{}]})",
-       "unsupported schema_version 99"},
+       "schema_version: unsupported schema_version 99"},
       {R"({"schema": "tcdm-scenarios", "schema_version": 1,
            "scenarios": [{}]})",
        "suite: required"},
@@ -395,6 +439,37 @@ TEST(ScenarioFile, MalformedDocumentsNameTheOffendingPath) {
            "scenarios": [{"name": "a", "config": {"preset": "mp4spatz4"},
                           "kernel": {"kind": "dotp", "n": 64}, "system": null}]})",
        "scenarios[0]/system: expected an object"},
+      // The Snitch latencies and the NoC/L2 transport are constants, not keys.
+      {R"({"schema": "tcdm-scenarios", "schema_version": 1, "suite": "x",
+           "scenarios": [{"name": "a",
+                          "config": {"preset": "mp4spatz4", "snitch": {"mul_latency": 3}},
+                          "kernel": {"kind": "dotp", "n": 64}}]})",
+       "scenarios[0]/config/snitch: unknown key"},
+      {R"({"schema": "tcdm-scenarios", "schema_version": 1, "suite": "x",
+           "scenarios": [{"name": "a", "config": {"preset": "mp4spatz4"},
+                          "kernel": {"kind": "dotp", "n": 64},
+                          "system": {"name": "s", "barrier_link_latency": 8}}]})",
+       "scenarios[0]/system/barrier_link_latency: unknown key"},
+      {R"({"schema": "tcdm-scenarios", "schema_version": 1, "suite": "x",
+           "scenarios": [{"name": "a", "config": {"preset": "mp4spatz4"},
+                          "kernel": {"kind": "dotp", "n": 64},
+                          "system": {"name": "s", "noc_hop_latency": 4}}]})",
+       "scenarios[0]/system/noc_hop_latency: unknown key"},
+      {R"({"schema": "tcdm-scenarios", "schema_version": 1, "suite": "x",
+           "scenarios": [{"name": "a", "config": {"preset": "mp4spatz4"},
+                          "kernel": {"kind": "dotp", "n": 64},
+                          "system": {"name": "s", "noc_link_words": 4}}]})",
+       "scenarios[0]/system/noc_link_words: unknown key"},
+      {R"({"schema": "tcdm-scenarios", "schema_version": 1, "suite": "x",
+           "scenarios": [{"name": "a", "config": {"preset": "mp4spatz4"},
+                          "kernel": {"kind": "dotp", "n": 64},
+                          "system": {"name": "s", "l2_latency": 16}}]})",
+       "scenarios[0]/system/l2_latency: unknown key"},
+      {R"({"schema": "tcdm-scenarios", "schema_version": 1, "suite": "x",
+           "scenarios": [{"name": "a", "config": {"preset": "mp4spatz4"},
+                          "kernel": {"kind": "dotp", "n": 64},
+                          "system": {"name": "s", "l2_bandwidth_words": 32}}]})",
+       "scenarios[0]/system/l2_bandwidth_words: unknown key"},
   };
   for (const auto& c : cases) {
     try {
